@@ -7,9 +7,11 @@ Subcommands:
   export-functions  dump the five substitution curves of a parameter file
   compare           merge two search histories into a best-so-far CSV
 
-Every command takes `--config PATH` (JSON, unknown keys rejected), is
-deterministic under a fixed `--seed`, and writes a resolved-config snapshot
-next to its outputs so runs can be reproduced byte-for-byte.
+`generate`, `search` and `train-eval` take `--config PATH` (JSON, unknown
+keys rejected) and a `--seed` override, are deterministic under a fixed
+seed, and write a resolved-config snapshot next to their outputs so runs can
+be reproduced byte-for-byte. `export-functions` and `compare` read only the
+files they are given. Every command writes to `--out`.
 """
 
 import argparse
@@ -91,21 +93,19 @@ def _dataset_for(config: SearchConfig):
     return dataset_config, train_set, eval_set
 
 
-def _search_config(args) -> SearchConfig:
-    data = _load_json(args.config) if args.config else {}
-    if args.preset is not None:
-        data = {**PRESETS[args.preset], **data}
-    config = SearchConfig.from_json_dict(data)
-    if args.seed is not None:
-        config = SearchConfig.from_json_dict({**config.to_json_dict(), "seed": args.seed})
-    return config
+def _resolve_config(cls, args, defaults=None, **flags):
+    """cls from the defaults, then the --config file, then the non-None flags.
+
+    Later sources override earlier ones key by key, and the merged values
+    are validated once, so a file value a flag overrides is never checked.
+    """
+    data = {**(defaults or {}), **(_load_json(args.config) if args.config else {})}
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    return cls.from_json_dict(data)
 
 
 def cmd_generate(args) -> int:
-    data = _load_json(args.config) if args.config else {}
-    config = DatasetConfig.from_json_dict(data)
-    if args.seed is not None:
-        config = DatasetConfig.from_json_dict({**config.to_json_dict(), "seed": args.seed})
+    config = _resolve_config(DatasetConfig, args, seed=args.seed)
     train_set, eval_set = generate(config)
     out = _out_dir(args)
     _write_json(out / "dataset.json", dataset_to_json_dict(config, train_set, eval_set))
@@ -115,7 +115,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = _search_config(args)
+    if args.budget is not None and args.strategy != "random":
+        raise ConfigError("--budget applies only to --strategy random")
+    config = _resolve_config(SearchConfig, args, PRESETS.get(args.preset), seed=args.seed)
     dataset_config, train_set, eval_set = _dataset_for(config)
     if args.strategy == "ppo2":
         best, history = run_search(config, dataset=(train_set, eval_set), jobs=args.jobs)
@@ -148,7 +150,8 @@ def _train_eval_params(args, config: SearchConfig):
         functions = None
         source = str(args.params)
     else:
-        params = LossParams.identity(M=config.M, measurement=config.measurement)
+        params = LossParams.identity(M=config.M, measurement=config.measurement,
+                                     block_denominator=config.block_denominator)
         functions = tuple(handcrafted_substitution(args.substitution) for _ in range(5))
         source = f"substitution:{args.substitution}"
     fields = params.to_json_dict()
@@ -166,12 +169,7 @@ def _train_eval_params(args, config: SearchConfig):
 
 
 def cmd_train_eval(args) -> int:
-    config_data = _load_json(args.config) if args.config else {}
-    config = SearchConfig.from_json_dict(config_data)
-    if args.seed is not None:
-        config = SearchConfig.from_json_dict({**config.to_json_dict(), "seed": args.seed})
-    if args.steps is not None:
-        config = SearchConfig.from_json_dict({**config.to_json_dict(), "steps": args.steps})
+    config = _resolve_config(SearchConfig, args, seed=args.seed, steps=args.steps)
     params, functions, source = _train_eval_params(args, config)
     dataset_config, train_set, eval_set = _dataset_for(config)
 

@@ -27,21 +27,13 @@ from scipy.special import expit
 from .apmetric import DetectionBatch, loc_scores
 from .errors import (
     ConstraintViolationError,
-    DomainError,
     EmptyPositiveError,
     InvalidInputError,
 )
 from .geometry import MEASUREMENTS, measure_grad
-from .piecewise import RatioParams, build, identity_params
+from .piecewise import RatioParams, build, identity_params, on_unit_interval
 
 HANDCRAFTED_KINDS = ("sigmoid", "sqrt", "linear", "square")
-
-
-def _check_unit_interval(x: np.ndarray):
-    if not np.all(np.isfinite(x)):
-        raise DomainError("evaluation point must be finite")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError("evaluation point outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,18 +45,12 @@ class AnalyticFn:
     name: str = ""
 
     def eval(self, x):
-        arr = np.asarray(x, dtype=float)
-        _check_unit_interval(arr)
-        out = self.fn(arr)
-        return float(out) if arr.ndim == 0 else out
+        return on_unit_interval(self.fn, x)
 
     __call__ = eval
 
     def slope(self, x):
-        arr = np.asarray(x, dtype=float)
-        _check_unit_interval(arr)
-        out = self.deriv(arr)
-        return float(out) if arr.ndim == 0 else out
+        return on_unit_interval(self.deriv, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,18 +64,12 @@ class StepFn:
     threshold: float = 0.0
 
     def eval(self, x):
-        arr = np.asarray(x, dtype=float)
-        _check_unit_interval(arr)
-        out = (arr > self.threshold).astype(float)
-        return float(out) if arr.ndim == 0 else out
+        return on_unit_interval(lambda arr: (arr > self.threshold).astype(float), x)
 
     __call__ = eval
 
     def slope(self, x):
-        arr = np.asarray(x, dtype=float)
-        _check_unit_interval(arr)
-        out = np.zeros_like(arr)
-        return float(out) if arr.ndim == 0 else out
+        return on_unit_interval(np.zeros_like, x)
 
 
 def handcrafted_substitution(kind: str):

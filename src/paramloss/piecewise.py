@@ -19,6 +19,24 @@ import numpy as np
 from .errors import ConstraintViolationError, DomainError, InvalidInputError
 
 
+def on_unit_interval(fn, x):
+    """fn applied to x, the eval/slope contract every shape function shares.
+
+    x is a scalar or an array of points in [0, 1]; a scalar or 0-d input
+    gives a float, an array input an array.
+
+    Raises:
+        DomainError: a point is not finite or lies outside [0, 1].
+    """
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("evaluation point must be finite")
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise DomainError("evaluation point outside [0, 1]")
+    out = fn(arr)
+    return float(out) if arr.ndim == 0 else out
+
+
 @dataclass(frozen=True, eq=False)
 class RatioParams:
     """Ratio pairs (r_x_k, r_y_k), one per interior control point.
@@ -93,34 +111,20 @@ class PiecewiseFn:
         xs = self.control_points[:, 0]
         return np.clip(np.searchsorted(xs, x, side="right") - 1, 0, self.segments - 1)
 
-    def _check_domain(self, x: np.ndarray):
-        if not np.all(np.isfinite(x)):
-            raise DomainError("evaluation point must be finite")
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise DomainError("evaluation point outside [0, 1]")
-
     def eval(self, x):
         """Evaluate at x (scalar or array); inputs must lie in [0, 1]."""
-        arr = np.asarray(x, dtype=float)
-        self._check_domain(arr)
-        idx = self._segment_index(arr)
-        xs = self.control_points[:, 0]
-        ys = self.control_points[:, 1]
-        out = ys[idx] + self._slopes[idx] * (arr - xs[idx])
-        if np.isscalar(x) or arr.ndim == 0:
-            return float(out)
-        return out
+        def value(arr):
+            idx = self._segment_index(arr)
+            xs = self.control_points[:, 0]
+            ys = self.control_points[:, 1]
+            return ys[idx] + self._slopes[idx] * (arr - xs[idx])
+        return on_unit_interval(value, x)
 
     __call__ = eval
 
     def slope(self, x):
         """Segment slope at x under the half-open membership rule."""
-        arr = np.asarray(x, dtype=float)
-        self._check_domain(arr)
-        out = self._slopes[self._segment_index(arr)]
-        if np.isscalar(x) or arr.ndim == 0:
-            return float(out)
-        return out
+        return on_unit_interval(lambda arr: self._slopes[self._segment_index(arr)], x)
 
     def ratios(self) -> RatioParams:
         """Recover the ratio parameterization of the interior points."""

@@ -13,7 +13,8 @@ produce identical histories.
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -80,23 +81,15 @@ class SearchConfig:
             raise ConfigError("steps must be non-negative")
 
     def to_json_dict(self) -> dict:
-        return {"T": self.T, "S": self.S, "sigma0": self.sigma0,
-                "epsilon": self.epsilon, "inner_iterations": self.inner_iterations,
-                "inner_lr": self.inner_lr, "inner_warmup": self.inner_warmup,
-                "M": self.M, "measurement": self.measurement, "steps": self.steps,
-                "seed": self.seed, "dataset": self.dataset,
-                "block_denominator": self.block_denominator}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SearchConfig":
-        defaults = cls()
-        known = set(defaults.to_json_dict())
-        unknown = set(data) - known
+        merged = cls().to_json_dict()
+        unknown = set(data) - set(merged)
         if unknown:
             raise ConfigError(f"unknown search config keys: {sorted(unknown)}")
-        merged = defaults.to_json_dict()
-        merged.update(data)
-        return cls(**merged)
+        return cls(**{**merged, **data})
 
 
 def sample_truncnorm(mu: np.ndarray, sigma: float, rng) -> np.ndarray:
@@ -232,21 +225,49 @@ def _evaluate_sample(args) -> tuple[float, bool, float]:
     return value, diverged, (time.perf_counter() - start) * 1000.0
 
 
-def _resolve_dataset(config: SearchConfig, dataset):
-    if dataset is not None:
-        return dataset
-    if config.dataset is None:
-        raise ConfigError("no dataset: pass one in memory or set the dataset path")
-    _, train_set, eval_set = toybench.load_dataset(config.dataset)
-    return train_set, eval_set
+def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propose,
+                   update=None):
+    """The outer loop both strategies share: rounds of S sample evaluations.
 
+    Round t draws sample i as propose(t, rng) with rng seeded from
+    (master seed, t, i); a last round short of S samples happens only when
+    `budget` is not a multiple of S. After each round, update(t, thetas,
+    rewards), when given, returns the round record. Returns (best
+    LossParams, history); best is None when the budget is 0.
+    """
+    if jobs < 1:
+        raise ConfigError("jobs must be at least 1")
+    if budget < 0:
+        raise ConfigError("budget must be non-negative")
+    if budget == 0:
+        return None, []
+    if dataset is None:
+        if config.dataset is None:
+            raise ConfigError("no dataset: pass one in memory or set the dataset path")
+        dataset = toybench.load_dataset(config.dataset)[1:]
+    train_set, eval_set = dataset
+    history = []
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        # map() yields results in submission order, keeping parallel runs
+        # byte-identical to serial ones
+        evaluate = map if pool is None else pool.map
+        for t, done in enumerate(range(0, budget, config.S), start=1):
+            thetas = [propose(t, np.random.default_rng([config.seed, t, i]))
+                      for i in range(min(config.S, budget - done))]
+            tasks = [(theta, train_set, eval_set, config.M, config.measurement,
+                      config.block_denominator, config.steps, _train_seed(config.seed, t, i))
+                     for i, theta in enumerate(thetas)]
+            results = list(evaluate(_evaluate_sample, tasks))
+            for i, (theta, (value, diverged, wall_ms)) in enumerate(zip(thetas, results)):
+                history.append({"round": t, "sample_index": i, "theta": theta.tolist(),
+                                "reward": value, "diverged": diverged, "wall_ms": wall_ms})
+            if update is not None:
+                history.append(update(t, np.stack(thetas), [value for value, _, _ in results]))
 
-def _run_round_samples(pool, tasks):
-    if pool is None:
-        return [_evaluate_sample(t) for t in tasks]
-    # map() yields results in submission order, keeping parallel runs
-    # byte-identical to serial ones
-    return list(pool.map(_evaluate_sample, tasks))
+    # max() keeps the first of equal rewards, the earliest sample
+    best = max((r for r in history if "reward" in r), key=lambda r: r["reward"])
+    return LossParams.from_flat(best["theta"], M=config.M, measurement=config.measurement,
+                                block_denominator=config.block_denominator), history
 
 
 def run_search(config: SearchConfig, dataset=None, jobs: int = 1):
@@ -256,43 +277,22 @@ def run_search(config: SearchConfig, dataset=None, jobs: int = 1):
     sample {round, sample_index, theta, reward, diverged, wall_ms} and one
     record per round {round, mu, sigma} holding the post-update mean.
     """
-    train_set, eval_set = _resolve_dataset(config, dataset)
     mu = LossParams.identity(M=config.M, measurement=config.measurement,
                              block_denominator=config.block_denominator).to_flat()
-    history = []
-    best_theta, best_reward = None, -np.inf
 
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        for t in range(1, config.T + 1):
-            sigma_t = config.sigma0 * (1.0 - (t - 1) / config.T)
-            thetas = [sample_truncnorm(mu, sigma_t, np.random.default_rng([config.seed, t, i]))
-                      for i in range(config.S)]
-            tasks = [(theta, train_set, eval_set, config.M, config.measurement,
-                      config.block_denominator, config.steps, _train_seed(config.seed, t, i))
-                     for i, theta in enumerate(thetas)]
-            results = _run_round_samples(pool, tasks)
+    def sigma(t):
+        return config.sigma0 * (1.0 - (t - 1) / config.T)
 
-            rewards = []
-            for i, (theta, (value, diverged, wall_ms)) in enumerate(zip(thetas, results)):
-                rewards.append(value)
-                history.append({"round": t, "sample_index": i, "theta": theta.tolist(),
-                                "reward": value, "diverged": diverged, "wall_ms": wall_ms})
-                if value > best_reward:
-                    best_theta, best_reward = theta, value
+    def update(t, thetas, rewards):
+        nonlocal mu
+        if config.S >= 2 and sigma(t) > 0.0:
+            mu = ppo2_update(thetas, rewards, mu, sigma(t), config.epsilon,
+                             iterations=config.inner_iterations,
+                             base_lr=config.inner_lr, warmup=config.inner_warmup)
+        return {"round": t, "mu": mu.tolist(), "sigma": sigma(t)}
 
-            if config.S >= 2 and sigma_t > 0.0:
-                mu = ppo2_update(np.stack(thetas), rewards, mu, sigma_t, config.epsilon,
-                                 iterations=config.inner_iterations,
-                                 base_lr=config.inner_lr, warmup=config.inner_warmup)
-            history.append({"round": t, "mu": mu.tolist(), "sigma": sigma_t})
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    best = LossParams.from_flat(best_theta, M=config.M, measurement=config.measurement,
-                                block_denominator=config.block_denominator)
-    return best, history
+    return _search_rounds(config, dataset, jobs, config.T * config.S,
+                          lambda t, rng: sample_truncnorm(mu, sigma(t), rng), update)
 
 
 def random_search(config: SearchConfig, dataset=None, jobs: int = 1, budget=None):
@@ -301,45 +301,10 @@ def random_search(config: SearchConfig, dataset=None, jobs: int = 1, budget=None
     Returns (best LossParams or None, history); the history has exactly
     `budget` sample records (default T*S) grouped into rounds of S.
     """
-    if budget is None:
-        budget = config.T * config.S
-    if budget < 0:
-        raise ConfigError("budget must be non-negative")
-    if budget == 0:
-        return None, []
-    train_set, eval_set = _resolve_dataset(config, dataset)
-
-    history = []
-    best_theta, best_reward = None, -np.inf
     dim = LossParams.identity(M=config.M).to_flat().size
-
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        done = 0
-        t = 0
-        while done < budget:
-            t += 1
-            n = min(config.S, budget - done)
-            thetas = [np.clip(np.random.default_rng([config.seed, t, i]).uniform(size=dim),
-                              _EPS, 1.0 - _EPS)
-                      for i in range(n)]
-            tasks = [(theta, train_set, eval_set, config.M, config.measurement,
-                      config.block_denominator, config.steps, _train_seed(config.seed, t, i))
-                     for i, theta in enumerate(thetas)]
-            results = _run_round_samples(pool, tasks)
-            for i, (theta, (value, diverged, wall_ms)) in enumerate(zip(thetas, results)):
-                history.append({"round": t, "sample_index": i, "theta": theta.tolist(),
-                                "reward": value, "diverged": diverged, "wall_ms": wall_ms})
-                if value > best_reward:
-                    best_theta, best_reward = theta, value
-            done += n
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    best = LossParams.from_flat(best_theta, M=config.M, measurement=config.measurement,
-                                block_denominator=config.block_denominator)
-    return best, history
+    return _search_rounds(config, dataset, jobs,
+                          config.T * config.S if budget is None else budget,
+                          lambda t, rng: np.clip(rng.uniform(size=dim), _EPS, 1.0 - _EPS))
 
 
 def best_so_far_curve(history) -> list[tuple[int, float]]:

@@ -69,11 +69,10 @@ class DatasetConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DatasetConfig":
-        keys = {"scenes", "G_max", "A", "F", "noise", "seed"}
-        unknown = set(data) - keys
+        merged = cls().to_json_dict()
+        unknown = set(data) - set(merged)
         if unknown:
             raise ConfigError(f"unknown dataset config keys: {sorted(unknown)}")
-        merged = {"scenes": 200, "G_max": 3, "A": 16, "F": 8, "noise": 0.05, "seed": 7}
         merged.update(data)
         return cls(scenes=int(merged["scenes"]), g_max=int(merged["G_max"]),
                    anchors=int(merged["A"]), features=int(merged["F"]),

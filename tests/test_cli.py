@@ -135,6 +135,20 @@ class TestSearchCommand:
         assert main(["search", "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_jobs_below_one_exits_config(self, tmp_path, dataset_dir):
+        config = _search_config_file(tmp_path, dataset_dir)
+        out = tmp_path / "nojobs"
+        assert main(["search", "--config", str(config), "--jobs", "0",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_budget_with_ppo2_exits_config(self, tmp_path, dataset_dir):
+        config = _search_config_file(tmp_path, dataset_dir)
+        out = tmp_path / "ppo2budget"
+        assert main(["search", "--config", str(config), "--strategy", "ppo2",
+                     "--budget", "3", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestTrainEvalCommand:
     def test_substitution_smoke(self, tmp_path, dataset_dir):
@@ -209,6 +223,25 @@ class TestTrainEvalCommand:
                      "--config", str(config), "--out", str(out)]) == EXIT_OK
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["params"]["block_denominator"] is False
+
+    def test_substitution_uses_config_block_denominator(self, tmp_path, dataset_dir):
+        config = _search_config_file(tmp_path, dataset_dir, block_denominator=False)
+        out = tmp_path / "cfgnb"
+        assert main(["train-eval", "--substitution", "linear", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["params"]["block_denominator"] is False
+
+    def test_flags_override_file_before_validation(self, tmp_path, dataset_dir):
+        # the merged config is validated once, after --steps replaces the
+        # file's invalid value
+        config = _search_config_file(tmp_path, dataset_dir, steps=-1)
+        out = tmp_path / "steps"
+        assert main(["train-eval", "--substitution", "linear", "--steps", "2",
+                     "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "metrics.json").read_text())["steps"] == 2
+        assert main(["train-eval", "--substitution", "linear", "--config", str(config),
+                     "--out", str(out)]) == EXIT_CONFIG
 
     def test_divergence_exits_runtime(self, tmp_path, dataset_dir, monkeypatch, capsys):
         def diverges(*args, **kwargs):

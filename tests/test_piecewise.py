@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paramloss.errors import ConstraintViolationError, DomainError, InvalidInputError
+from paramloss.paploss import StepFn, handcrafted_substitution
 from paramloss.piecewise import PiecewiseFn, RatioParams, build, identity_params
 
 
@@ -178,3 +179,30 @@ class TestControlPointValidation:
     def test_outside_unit_square_rejected(self):
         with pytest.raises(InvalidInputError):
             PiecewiseFn(np.array([[0.0, 0.0], [0.5, 1.2], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("fn", [build(identity_params(5), 5),
+                                handcrafted_substitution("sigmoid"), StepFn(0.5)],
+                         ids=["PiecewiseFn", "AnalyticFn", "StepFn"])
+class TestShapeFunctionContract:
+    """eval and slope of every shape function share one domain and return rule."""
+
+    @pytest.mark.parametrize("x", [np.nan, -0.1, 1.1])
+    def test_domain_errors(self, fn, x):
+        with pytest.raises(DomainError):
+            fn.eval(x)
+        with pytest.raises(DomainError):
+            fn.slope(x)
+        with pytest.raises(DomainError):
+            fn.eval(np.array([0.5, x]))
+
+    @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.array(0.3)],
+                             ids=["float", "numpy-scalar", "0-d"])
+    def test_scalar_input_gives_float(self, fn, x):
+        assert type(fn.eval(x)) is float
+        assert type(fn.slope(x)) is float
+
+    def test_array_input_gives_array(self, fn):
+        x = np.array([0.0, 0.3, 0.7, 1.0])
+        for out in (fn.eval(x), fn.slope(x)):
+            assert isinstance(out, np.ndarray) and out.shape == x.shape

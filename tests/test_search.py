@@ -336,6 +336,9 @@ class TestRandomSearch:
         samples = [r for r in history if "reward" in r]
         assert len(samples) == 7
         assert len(history) == 7  # no round records without a distribution
+        # two full rounds of S=3, then a partial last round of the remainder
+        assert [(r["round"], r["sample_index"]) for r in samples] == [
+            (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0)]
 
     def test_deterministic(self, data):
         config = tiny_config(T=2, S=2, steps=2)
