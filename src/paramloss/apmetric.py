@@ -67,11 +67,11 @@ class DetectionBatch:
         return int(np.count_nonzero(self.positive_mask))
 
     @classmethod
-    def from_predictions(cls, boxes, scores, gt_boxes, iou_threshold: float = 0.5):
-        """Build a batch by running the standard assignment rule."""
+    def from_predictions(cls, boxes, scores, gt_boxes):
+        """Build a batch by running the standard assignment rule at IoU 0.5."""
         boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
         gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
-        return cls(boxes, scores, gt, assign(boxes, gt, iou_threshold))
+        return cls(boxes, scores, gt, assign(boxes, gt))
 
 
 def assign(candidate_boxes, ground_truths, iou_threshold: float = 0.5) -> np.ndarray:

@@ -180,10 +180,10 @@ def cmd_train_eval(args) -> int:
         print(f"training diverged at step {exc.step}", file=sys.stderr)
         return EXIT_RUNTIME
 
+    batches = [model_forward(model, s) for s in eval_set]
     per_threshold = {}
     for thr in COCO_THRESHOLDS:
-        values = [ap_pr_area(b.boxes, b.scores, b.gt_boxes, (thr,))
-                  for b in (model_forward(model, s) for s in eval_set)]
+        values = [ap_pr_area(b.boxes, b.scores, b.gt_boxes, (thr,)) for b in batches]
         per_threshold[f"{thr:.2f}"] = float(np.mean(values))
     metrics = {
         "reward": reward(model, eval_set),

@@ -32,9 +32,9 @@ class TrainingDivergedError(ParamLossError):
     Carries the step index at which divergence was detected.
     """
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"training diverged at step {step}")
+        super().__init__(f"training diverged at step {step}")
 
 
 class ConfigError(ParamLossError):

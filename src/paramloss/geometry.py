@@ -3,7 +3,8 @@
 Boxes use the corner representation (x1, y1, x2, y2) in normalized image
 coordinates. All measurements are exposed in two flavours: scalar operations
 on :class:`Box` pairs, and vectorized operations on ``(N, 4)`` arrays used by
-the loss and the benchmark. Both share the same underlying array code.
+the loss and the benchmark. Both share one array kernel, which computes the
+intersection, union and enclosing hull for IoU and GIoU values and gradients.
 
 Gradients are piecewise affine. At non-differentiable configurations
 (coincident edges, exactly touching boxes) the right-sided derivative is
@@ -62,15 +63,15 @@ def _areas(b: np.ndarray) -> np.ndarray:
     return (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
 
 
-def _iou_giou_arrays(a: np.ndarray, b: np.ndarray):
-    """Elementwise IoU, GIoU and intermediates for broadcastable box arrays."""
-    ix1 = np.maximum(a[..., 0], b[..., 0])
-    iy1 = np.maximum(a[..., 1], b[..., 1])
-    ix2 = np.minimum(a[..., 2], b[..., 2])
-    iy2 = np.minimum(a[..., 3], b[..., 3])
-    iw = np.maximum(ix2 - ix1, 0.0)
-    ih = np.maximum(iy2 - iy1, 0.0)
-    inter = iw * ih
+def _overlap_arrays(a: np.ndarray, b: np.ndarray):
+    """Elementwise IoU, GIoU and the intermediates their gradients reuse.
+
+    Returns (iou, giou, (iw, ih, inter, union, cw, ch, hull)). iw and ih stay
+    unclipped (negative when disjoint) so the gradient's zeros keep their sign.
+    """
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = _areas(a) + _areas(b) - inter
     iou = inter / union
 
@@ -78,12 +79,12 @@ def _iou_giou_arrays(a: np.ndarray, b: np.ndarray):
     ch = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
     hull = cw * ch
     giou = iou - (hull - union) / hull
-    return iou, giou, union, hull
+    return iou, giou, (iw, ih, inter, union, cw, ch, hull)
 
 
 def iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes; 0 when disjoint, symmetric."""
-    return float(_iou_giou_arrays(a.array, b.array)[0])
+    return float(_overlap_arrays(a.array, b.array)[0])
 
 
 def giou(a: Box, b: Box) -> float:
@@ -92,7 +93,7 @@ def giou(a: Box, b: Box) -> float:
     Equals plain IoU whenever the smallest enclosing box coincides with the
     union hull.
     """
-    return float(_iou_giou_arrays(a.array, b.array)[1])
+    return float(_overlap_arrays(a.array, b.array)[1])
 
 
 def l1_score(a: Box, b: Box) -> float:
@@ -124,33 +125,26 @@ def l1_score_grad(a: Box, b: Box) -> np.ndarray:
 
 
 def _measure_grad_arrays(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise measurement gradient wrt b for (N, 4) arrays (a fixed)."""
+    """Elementwise measurement gradient wrt b for (N, 4) arrays (a fixed).
+
+    The caller checks kind: anything but "l1" or "iou" gets the GIoU gradient.
+    """
     if kind == "l1":
         slack = 1.0 - np.abs(b - a).sum(axis=-1) / 4.0
         grad = -np.sign(b - a) / 4.0
         grad[slack <= 0.0] = 0.0
         return grad
-    if kind not in ("iou", "giou"):
-        raise InvalidInputError(f"unknown measurement {kind!r}")
 
     ax1, ay1, ax2, ay2 = (a[..., i] for i in range(4))
     bx1, by1, bx2, by2 = (b[..., i] for i in range(4))
-
-    ix1 = np.maximum(ax1, bx1)
-    iy1 = np.maximum(ay1, by1)
-    ix2 = np.minimum(ax2, bx2)
-    iy2 = np.minimum(ay2, by2)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
-    active = (iw > 0.0) & (ih > 0.0)
-    inter = np.where(active, iw * ih, 0.0)
+    _, _, (iw, ih, inter, union, cw, ch, hull) = _overlap_arrays(a, b)
 
     # Right-sided tie rules: max picks the variable at a tie, min does not.
     mx1 = (bx1 >= ax1).astype(float)
     my1 = (by1 >= ay1).astype(float)
     mx2 = (bx2 < ax2).astype(float)
     my2 = (by2 < ay2).astype(float)
-    act = active.astype(float)
+    act = ((iw > 0.0) & (ih > 0.0)).astype(float)
     d_inter = np.stack(
         [-mx1 * ih * act, -my1 * iw * act, mx2 * ih * act, my2 * iw * act],
         axis=-1,
@@ -160,7 +154,6 @@ def _measure_grad_arrays(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
     bh = by2 - by1
     d_area_b = np.stack([-bh, -bw, bh, bw], axis=-1)
 
-    union = _areas(a) + _areas(b) - inter
     d_union = d_area_b - d_inter
     d_iou = (d_inter * union[..., None] - inter[..., None] * d_union) / union[..., None] ** 2
     if kind == "iou":
@@ -170,9 +163,6 @@ def _measure_grad_arrays(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
     ny1 = (by1 < ay1).astype(float)
     nx2 = (bx2 >= ax2).astype(float)
     ny2 = (by2 >= ay2).astype(float)
-    cw = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
-    ch = np.maximum(ay2, by2) - np.minimum(ay1, by1)
-    hull = cw * ch
     d_hull = np.stack([-nx1 * ch, -ny1 * cw, nx2 * ch, ny2 * cw], axis=-1)
 
     # giou = iou - 1 + union / hull
@@ -185,7 +175,7 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = validate_boxes(b)
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    return _iou_giou_arrays(a[:, None, :], b[None, :, :])[0]
+    return _overlap_arrays(a[:, None, :], b[None, :, :])[0]
 
 
 def measure(pred: np.ndarray, gt: np.ndarray, kind: str) -> np.ndarray:
@@ -193,9 +183,9 @@ def measure(pred: np.ndarray, gt: np.ndarray, kind: str) -> np.ndarray:
     pred = validate_boxes(pred)
     gt = validate_boxes(gt)
     if kind == "iou":
-        return _iou_giou_arrays(gt, pred)[0]
+        return _overlap_arrays(gt, pred)[0]
     if kind == "giou":
-        return _iou_giou_arrays(gt, pred)[1]
+        return _overlap_arrays(gt, pred)[1]
     if kind == "l1":
         return np.maximum(0.0, 1.0 - np.abs(pred - gt).sum(axis=-1) / 4.0)
     raise InvalidInputError(f"unknown measurement {kind!r}")

@@ -9,16 +9,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(self, dim: int, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, dim: int, lr: float):
         if dim < 1 or lr <= 0.0:
             raise InvalidInputError("Adam needs dim >= 1 and lr > 0")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.t = 0
@@ -29,9 +29,9 @@ class Adam:
         if g.shape != self.m.shape:
             raise InvalidInputError(f"gradient shape {g.shape} does not match optimizer dim")
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
+        self.m = BETA1 * self.m + (1.0 - BETA1) * g
+        self.v = BETA2 * self.v + (1.0 - BETA2) * g * g
+        m_hat = self.m / (1.0 - BETA1**self.t)
+        v_hat = self.v / (1.0 - BETA2**self.t)
         rate = self.lr if lr is None else float(lr)
-        return np.asarray(x, dtype=float) - rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        return np.asarray(x, dtype=float) - rate * m_hat / (np.sqrt(v_hat) + EPS)

@@ -158,10 +158,7 @@ class LossParams:
                 raise InvalidInputError(
                     f"theta{k} holds {t.ratios.shape[0]} ratio pairs, expected {self.M - 1}"
                 )
-        if not (0.0 < self.theta_lambda < 1.0):
-            raise ConstraintViolationError(
-                f"theta_lambda must lie strictly inside (0, 1), got {self.theta_lambda}"
-            )
+        lambda_from_theta(self.theta_lambda)
         if self.measurement not in MEASUREMENTS:
             raise InvalidInputError(f"unknown measurement {self.measurement!r}")
 
@@ -193,11 +190,11 @@ class LossParams:
                    measurement=measurement, block_denominator=block_denominator)
 
     @classmethod
-    def identity(cls, M: int = 5, theta_lambda: float = 0.5,
-                 measurement: str = "giou", block_denominator: bool = True) -> "LossParams":
+    def identity(cls, M: int = 5, measurement: str = "giou",
+                 block_denominator: bool = True) -> "LossParams":
         """All five functions initialized to f(x) = x, neutral lambda."""
         t = identity_params(M)
-        return cls(t, t, t, t, t, theta_lambda=theta_lambda, M=M,
+        return cls(t, t, t, t, t, theta_lambda=0.5, M=M,
                    measurement=measurement, block_denominator=block_denominator)
 
     def same_as(self, other: "LossParams") -> bool:

@@ -38,6 +38,7 @@ from .paploss import LossParams, loss_backward, loss_forward
 ASSIGN_THRESHOLD = 0.5
 MIN_BOX_SIZE = 0.02
 DELTA_CAP = 4.0  # box-size deltas are clipped to keep exp() tame
+HIDDEN = 16  # hidden units of the detector that train_inner trains
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,10 +262,6 @@ class ToyModel:
     def n_features(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
-
     @classmethod
     def init(cls, n_features: int, hidden: int, seed: int) -> "ToyModel":
         """Seeded start: random trunk, zero output heads."""
@@ -403,13 +400,13 @@ def model_forward(model: ToyModel, scene: Scene) -> DetectionBatch:
 
 
 def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
-                batch_scenes: int = 8, lr: float = 0.02, hidden: int = 16,
-                functions=None) -> ToyModel:
+                batch_scenes: int = 8, lr: float = 0.02, functions=None) -> ToyModel:
     """Seeded inner training of the detector under the given loss parameters.
 
-    Runs `steps` Adam updates over shuffled mini-batches of scenes; all
-    predictions of a mini-batch form one joint ranking. A mini-batch without
-    positives is skipped (the step is consumed without an update). Raises
+    Starts from ToyModel.init with HIDDEN hidden units and runs `steps` Adam
+    updates over shuffled mini-batches of scenes; all predictions of a
+    mini-batch form one joint ranking. A mini-batch without positives is
+    skipped (the step is consumed without an update). Raises
     TrainingDivergedError on the first non-finite loss, gradient or weight.
     `functions` overrides the piecewise substitutions with explicit callables
     (used by the handcrafted-substitution comparisons).
@@ -419,7 +416,7 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     if not train_set:
         raise InvalidInputError("training needs at least one scene")
     n_features = train_set[0].features.shape[1]
-    model = ToyModel.init(n_features, hidden, seed)
+    model = ToyModel.init(n_features, HIDDEN, seed)
     if steps == 0:
         return model
 
@@ -463,16 +460,17 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     return model.with_vector(weights)
 
 
-def reward(model: ToyModel, eval_scenes, thresholds=None) -> float:
-    """Mean precision-recall AP of the model over the evaluation scenes."""
+def reward(model: ToyModel, eval_scenes) -> float:
+    """Mean precision-recall AP of the model over the evaluation scenes.
+
+    Each scene's AP is averaged over COCO_THRESHOLDS (IoU 0.50:0.05:0.95).
+    """
     if not eval_scenes:
         raise InvalidInputError("reward needs a non-empty evaluation set")
-    if thresholds is None:
-        thresholds = COCO_THRESHOLDS
     total = 0.0
     for scene in eval_scenes:
         batch = model_forward(model, scene)
-        total += ap_pr_area(batch.boxes, batch.scores, batch.gt_boxes, thresholds)
+        total += ap_pr_area(batch.boxes, batch.scores, batch.gt_boxes, COCO_THRESHOLDS)
     return float(total / len(eval_scenes))
 
 

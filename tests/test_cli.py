@@ -135,6 +135,13 @@ class TestSearchCommand:
         assert main(["search", "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("override", [{"T": 2.5}, {"sigma0": "0.2"}])
+    def test_mistyped_value_exits_config(self, tmp_path, dataset_dir, override):
+        config = _search_config_file(tmp_path, dataset_dir, **override)
+        out = tmp_path / "mistyped"
+        assert main(["search", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_jobs_below_one_exits_config(self, tmp_path, dataset_dir):
         config = _search_config_file(tmp_path, dataset_dir)
         out = tmp_path / "nojobs"

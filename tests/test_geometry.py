@@ -84,6 +84,12 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             validate_boxes(np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("fn", [measure, measure_grad])
+    def test_unknown_measurement_rejected(self, fn):
+        boxes = np.array([[0.0, 0.0, 1.0, 1.0]])
+        with pytest.raises(InvalidInputError):
+            fn(boxes, boxes, "diou")
+
 
 class TestRasterOracle:
     """Cross-check IoU against counting cell centers on a fine grid."""
@@ -166,12 +172,16 @@ class TestProperties:
         g = measure(preds, gts, "giou")
         gl = measure(preds, gts, "l1")
         gg = measure_grad(preds, gts, "giou")
+        gi = measure_grad(preds, gts, "iou")
+        gd = measure_grad(preds, gts, "l1")
         for k in range(64):
             a = Box.from_array(gts[k])
             b = Box.from_array(preds[k])
             assert abs(g[k] - giou(a, b)) < 1e-12
             assert abs(gl[k] - l1_score(a, b)) < 1e-12
             assert np.allclose(gg[k], giou_grad(a, b), atol=1e-12)
+            assert np.allclose(gi[k], giou_grad(a, b, include_enclosing=False), atol=1e-12)
+            assert np.allclose(gd[k], l1_score_grad(a, b), atol=1e-12)
 
 
 def _fd_grad(fn, b_arr, h=1e-5):

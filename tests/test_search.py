@@ -43,6 +43,7 @@ class TestSearchConfig:
         {"inner_iterations": 0}, {"inner_warmup": 0},
         {"inner_warmup": 200}, {"inner_lr": 0.0}, {"M": 1},
         {"measurement": "chamfer"}, {"steps": -1},
+        {"steps": True}, {"seed": None}, {"sigma0": True},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
