@@ -58,6 +58,20 @@ class DetectionBatch:
         object.__setattr__(self, "gt_boxes", gt)
         object.__setattr__(self, "assignment", asg.astype(np.int64))
 
+    @classmethod
+    def _trusted(cls, boxes, scores, gt_boxes, assignment) -> "DetectionBatch":
+        """A batch of arrays that already meet every __post_init__ check,
+        stored as given without checking them again.
+
+        For loops that establish those invariants once upstream: float
+        (N, 4) finite non-degenerate boxes, (N,) finite float scores,
+        validated ground truths and an int64 assignment indexing them.
+        """
+        batch = object.__new__(cls)
+        vars(batch).update(boxes=boxes, scores=scores, gt_boxes=gt_boxes,
+                           assignment=assignment)
+        return batch
+
     @property
     def positive_mask(self) -> np.ndarray:
         return self.assignment >= 0
@@ -170,6 +184,19 @@ def ap_pr_area(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> float:
     Precision is accumulated at every true positive and divided by the
     ground-truth count, then averaged over the thresholds.
     """
+    per_threshold = _pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds)
+    total = 0.0
+    for value in per_threshold:  # in order: sum() is compensated on Python >= 3.12
+        total += value
+    return float(total / len(per_threshold))
+
+
+def _pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> list:
+    """ap_pr_area at each IoU threshold, all from one IoU matrix.
+
+    Shared with train-eval's per-threshold report so that it, too, builds
+    each scene's IoU matrix once.
+    """
     gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
     if gt.shape[0] == 0:
         raise InvalidInputError("precision-recall AP needs at least one ground truth")
@@ -178,17 +205,17 @@ def ap_pr_area(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> float:
     s = np.asarray(scores, dtype=float).reshape(-1)
     if boxes.shape[0] != s.shape[0]:
         raise InvalidInputError("boxes and scores lengths differ")
-    if boxes.shape[0] == 0:
-        return 0.0
-    validate_boxes(boxes)
     if iou_thresholds is None:
         iou_thresholds = COCO_THRESHOLDS
+    if boxes.shape[0] == 0:
+        return [0.0] * len(iou_thresholds)
+    validate_boxes(boxes)
 
     order = np.argsort(-s, kind="stable")
     mat = pairwise_iou(boxes[order], gt)
     n_gt = gt.shape[0]
 
-    total = 0.0
+    values = []
     for thr in iou_thresholds:
         matched = np.zeros(n_gt, dtype=bool)
         tp = 0
@@ -200,5 +227,5 @@ def ap_pr_area(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> float:
                 matched[g] = True
                 tp += 1
                 precision_sum += tp / pos_rank
-        total += precision_sum / n_gt
-    return float(total / len(iou_thresholds))
+        values.append(precision_sum / n_gt)
+    return values

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .apmetric import COCO_THRESHOLDS, ap_pr_area
+from .apmetric import COCO_THRESHOLDS, _pr_area_by_threshold
 from .errors import ConfigError, ParamLossError, TrainingDivergedError
 from .paploss import (
     HANDCRAFTED_KINDS,
@@ -181,10 +181,9 @@ def cmd_train_eval(args) -> int:
         return EXIT_RUNTIME
 
     batches = [model_forward(model, s) for s in eval_set]
-    per_threshold = {}
-    for thr in COCO_THRESHOLDS:
-        values = [ap_pr_area(b.boxes, b.scores, b.gt_boxes, (thr,)) for b in batches]
-        per_threshold[f"{thr:.2f}"] = float(np.mean(values))
+    by_scene = [_pr_area_by_threshold(b.boxes, b.scores, b.gt_boxes) for b in batches]
+    per_threshold = {f"{thr:.2f}": float(np.mean(values))
+                     for thr, values in zip(COCO_THRESHOLDS, zip(*by_scene))}
     metrics = {
         "reward": reward(model, eval_set),
         "per_threshold_ap": per_threshold,

@@ -161,6 +161,9 @@ class LossParams:
         lambda_from_theta(self.theta_lambda)
         if self.measurement not in MEASUREMENTS:
             raise InvalidInputError(f"unknown measurement {self.measurement!r}")
+        if not isinstance(self.block_denominator, bool):
+            raise InvalidInputError(
+                f"block_denominator must be true or false, got {self.block_denominator!r}")
 
     @property
     def thetas(self) -> tuple:
@@ -229,7 +232,7 @@ class LossParams:
                   for k in range(1, 6)]
         return cls(*thetas, theta_lambda=float(data["theta_lambda"]),
                    M=int(data["M"]), measurement=str(data["measurement"]),
-                   block_denominator=bool(data["block_denominator"]))
+                   block_denominator=data["block_denominator"])
 
 
 def resolve_functions(params: LossParams) -> tuple:

@@ -29,9 +29,11 @@ def on_unit_interval(fn, x):
         DomainError: a point is not finite or lies outside [0, 1].
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("evaluation point must be finite")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # one pass, which NaN and +-inf fail too; the message is worked out
+    # only on failure
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("evaluation point must be finite")
         raise DomainError("evaluation point outside [0, 1]")
     out = fn(arr)
     return float(out) if arr.ndim == 0 else out
@@ -80,6 +82,10 @@ class PiecewiseFn:
     Segment membership uses half-open intervals [x_k, x_{k+1}); x = 1 is
     assigned to the last segment so the domain is closed. The slope at a
     knot is the slope of the segment the knot belongs to under that rule.
+
+    The segment of x is the number of interior knots at or below it,
+    counted in the smallest unsigned dtype that holds M - 1. On [0, 1] that
+    equals clip(searchsorted(xs, x, side="right") - 1, 0, M - 1).
     """
 
     control_points: np.ndarray
@@ -102,14 +108,17 @@ class PiecewiseFn:
             raise InvalidInputError("y coordinates must be non-decreasing")
         object.__setattr__(self, "control_points", pts)
         object.__setattr__(self, "_slopes", np.diff(ys) / np.diff(xs))
+        object.__setattr__(self, "_index_dtype", np.min_scalar_type(pts.shape[0] - 2))
 
     @property
     def segments(self) -> int:
         return self.control_points.shape[0] - 1
 
     def _segment_index(self, x: np.ndarray) -> np.ndarray:
-        xs = self.control_points[:, 0]
-        return np.clip(np.searchsorted(xs, x, side="right") - 1, 0, self.segments - 1)
+        idx = np.zeros(x.shape, dtype=self._index_dtype)
+        for knot in self.control_points[1:-1, 0]:
+            idx += x >= knot
+        return idx
 
     def eval(self, x):
         """Evaluate at x (scalar or array); inputs must lie in [0, 1]."""
@@ -117,14 +126,15 @@ class PiecewiseFn:
             idx = self._segment_index(arr)
             xs = self.control_points[:, 0]
             ys = self.control_points[:, 1]
-            return ys[idx] + self._slopes[idx] * (arr - xs[idx])
+            # take, not fancy indexing: faster with a small index dtype
+            return ys.take(idx) + self._slopes.take(idx) * (arr - xs.take(idx))
         return on_unit_interval(value, x)
 
     __call__ = eval
 
     def slope(self, x):
         """Segment slope at x under the half-open membership rule."""
-        return on_unit_interval(lambda arr: self._slopes[self._segment_index(arr)], x)
+        return on_unit_interval(lambda arr: self._slopes.take(self._segment_index(arr)), x)
 
     def ratios(self) -> RatioParams:
         """Recover the ratio parameterization of the interior points."""

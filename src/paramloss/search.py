@@ -11,11 +11,10 @@ seed, round index and sample index, so serial and parallel execution
 produce identical histories.
 """
 
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -61,12 +60,7 @@ class SearchConfig:
     block_denominator: bool = True
 
     def __post_init__(self):
-        for f in fields(self):  # int fields take any Integral, float fields any Real
-            kind = {int: numbers.Integral, float: numbers.Real}.get(f.type)
-            value = getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-                noun = "an integer" if f.type is int else "a real number"
-                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        toybench.check_field_types(self)
         if self.T < 1 or self.S < 1:
             raise ConfigError("T and S must be at least 1")
         # sigma0 = 0 is the degenerate no-exploration search, kept legal

@@ -19,11 +19,13 @@ ranking signal), and standard-normal distractor dimensions up to F.
 """
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
 
+from . import paploss
 from .apmetric import COCO_THRESHOLDS, DetectionBatch, ap_pr_area, assign
 from .errors import (
     ConfigError,
@@ -41,6 +43,28 @@ DELTA_CAP = 4.0  # box-size deltas are clipped to keep exp() tame
 HIDDEN = 16  # hidden units of the detector that train_inner trains
 
 
+# the values a config field of each annotated type takes; bool is an
+# Integral, so it is taken only where the annotation is bool
+_FIELD_KINDS = {int: (numbers.Integral, "an integer"),
+                float: (numbers.Real, "a real number"),
+                bool: (bool, "true or false")}
+
+
+def check_field_types(config) -> None:
+    """Check every int, float and bool field of a config dataclass.
+
+    Raises:
+        ConfigError: a field holds a value of another kind, such as 2.5 or
+            true for an int, "0.2" for a float, or "false" for a bool.
+    """
+    for f in fields(config):
+        kind, noun = _FIELD_KINDS.get(f.type, (None, None))
+        value = getattr(config, f.name)
+        if kind and (not isinstance(value, kind)
+                     or (isinstance(value, bool) and f.type is not bool)):
+            raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DatasetConfig:
     """Generator settings: scene count, boxes per scene, feature noise."""
@@ -53,6 +77,9 @@ class DatasetConfig:
     seed: int = 7
 
     def __post_init__(self):
+        check_field_types(self)
+        # stored as a float, so an integral noise such as 0 is written back as 0.0
+        object.__setattr__(self, "noise", float(self.noise))
         if self.scenes < 2:
             raise ConfigError("need at least 2 scenes to split train/eval")
         if self.g_max < 1:
@@ -75,9 +102,8 @@ class DatasetConfig:
         if unknown:
             raise ConfigError(f"unknown dataset config keys: {sorted(unknown)}")
         merged.update(data)
-        return cls(scenes=int(merged["scenes"]), g_max=int(merged["G_max"]),
-                   anchors=int(merged["A"]), features=int(merged["F"]),
-                   noise=float(merged["noise"]), seed=int(merged["seed"]))
+        return cls(scenes=merged["scenes"], g_max=merged["G_max"], anchors=merged["A"],
+                   features=merged["F"], noise=merged["noise"], seed=merged["seed"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,7 +435,8 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     skipped (the step is consumed without an update). Raises
     TrainingDivergedError on the first non-finite loss, gradient or weight.
     `functions` overrides the piecewise substitutions with explicit callables
-    (used by the handcrafted-substitution comparisons).
+    (used by the handcrafted-substitution comparisons); by default they are
+    built from params once per training.
     """
     if steps < 0:
         raise InvalidInputError("steps must be non-negative")
@@ -419,6 +446,11 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     model = ToyModel.init(n_features, HIDDEN, seed)
     if steps == 0:
         return model
+    if functions is None:
+        # built once, so an unbuildable theta raises ConstraintViolationError
+        # before the first step; called through the module so that a tracer
+        # wrapping paploss.resolve_functions sees it
+        functions = paploss.resolve_functions(params)
 
     shuffle_rng = np.random.default_rng([seed, 733])
     batch_scenes = min(batch_scenes, len(train_set))
@@ -439,7 +471,11 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
                       or np.any(boxes[:, 3] - boxes[:, 1] <= 0.0))
         if degenerate or not (np.all(np.isfinite(boxes)) and np.all(np.isfinite(scores))):
             raise TrainingDivergedError(step)
-        batch = DetectionBatch(boxes, scores, gts, assignment)
+        # every DetectionBatch check already holds: the boxes are finite and
+        # non-degenerate and the scores finite (checked just above), and the
+        # ground truths and the int64 assignment into them come from validated
+        # Scenes, offset per scene by _merge_scenes
+        batch = DetectionBatch._trusted(boxes, scores, gts, assignment)
         try:
             value, loss_cache = loss_forward(batch, params, functions)
         except EmptyPositiveError:

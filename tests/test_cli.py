@@ -135,7 +135,8 @@ class TestSearchCommand:
         assert main(["search", "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("override", [{"T": 2.5}, {"sigma0": "0.2"}])
+    @pytest.mark.parametrize("override", [{"T": 2.5}, {"sigma0": "0.2"},
+                                          {"block_denominator": "false"}])
     def test_mistyped_value_exits_config(self, tmp_path, dataset_dir, override):
         config = _search_config_file(tmp_path, dataset_dir, **override)
         out = tmp_path / "mistyped"
@@ -266,6 +267,16 @@ class TestTrainEvalCommand:
         config = _search_config_file(tmp_path, dataset_dir)
         assert main(["train-eval", str(params_path), "--config", str(config),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_string_block_denominator_exits_config(self, tmp_path, dataset_dir):
+        params_path = tmp_path / "string_flag.json"
+        params_path.write_text(json.dumps(
+            {**LossParams.identity().to_json_dict(), "block_denominator": "false"}))
+        config = _search_config_file(tmp_path, dataset_dir)
+        out = tmp_path / "string_flag"
+        assert main(["train-eval", str(params_path), "--config", str(config),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestExportFunctions:

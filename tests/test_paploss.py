@@ -107,6 +107,13 @@ class TestLossParams:
         with pytest.raises(InvalidInputError):
             LossParams.from_json_dict(d)
 
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_json_non_bool_block_denominator_rejected(self, flag):
+        d = LossParams.identity().to_json_dict()
+        d["block_denominator"] = flag
+        with pytest.raises(InvalidInputError):
+            LossParams.from_json_dict(d)
+
     def test_json_missing_key_rejected(self):
         d = LossParams.identity().to_json_dict()
         del d["theta_lambda"]

@@ -187,13 +187,14 @@ class TestControlPointValidation:
 class TestShapeFunctionContract:
     """eval and slope of every shape function share one domain and return rule."""
 
-    @pytest.mark.parametrize("x", [np.nan, -0.1, 1.1])
+    @pytest.mark.parametrize("x", [np.nan, -0.1, 1.1, np.inf, -np.inf])
     def test_domain_errors(self, fn, x):
-        with pytest.raises(DomainError):
+        message = "outside" if np.isfinite(x) else "finite"
+        with pytest.raises(DomainError, match=message):
             fn.eval(x)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=message):
             fn.slope(x)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=message):
             fn.eval(np.array([0.5, x]))
 
     @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.array(0.3)],

@@ -44,6 +44,7 @@ class TestSearchConfig:
         {"inner_warmup": 200}, {"inner_lr": 0.0}, {"M": 1},
         {"measurement": "chamfer"}, {"steps": -1},
         {"steps": True}, {"seed": None}, {"sigma0": True},
+        {"block_denominator": "false"}, {"block_denominator": 0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):

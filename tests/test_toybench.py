@@ -58,6 +58,19 @@ class TestDatasetConfig:
         with pytest.raises(ConfigError):
             DatasetConfig(**kwargs)
 
+    @pytest.mark.parametrize("data", [
+        {"scenes": 12.7}, {"seed": True}, {"G_max": 2.0}, {"A": "16"}, {"F": None},
+        {"noise": "0.05"}, {"noise": True},
+    ])
+    def test_mistyped_json_rejected(self, data):
+        with pytest.raises(ConfigError):
+            DatasetConfig.from_json_dict(data)
+
+    def test_integral_noise_stays_float(self):
+        config = DatasetConfig.from_json_dict({"noise": 0})
+        assert type(config.noise) is float
+        assert config.to_json_dict()["noise"] == 0.0
+
     def test_partial_json_uses_defaults(self):
         config = DatasetConfig.from_json_dict({"scenes": 12})
         assert config.scenes == 12
