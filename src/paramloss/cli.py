@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -154,18 +155,16 @@ def _train_eval_params(args, config: SearchConfig):
                                      block_denominator=config.block_denominator)
         functions = tuple(handcrafted_substitution(args.substitution) for _ in range(5))
         source = f"substitution:{args.substitution}"
-    fields = params.to_json_dict()
+    ablation = {}
     if args.shared_params:
-        shared = fields["theta1"]
-        fields = {**fields, "theta2": shared, "theta3": shared,
-                  "theta4": shared, "theta5": shared}
+        ablation.update(dict.fromkeys(("theta2", "theta3", "theta4", "theta5"), params.theta1))
     if args.lambda_fixed is not None:
         if not (0.1 < args.lambda_fixed < 10.0):
             raise ConfigError("--lambda-fixed must lie in (0.1, 10)")
-        fields = {**fields, "theta_lambda": (np.log10(args.lambda_fixed) + 1.0) / 2.0}
+        ablation["theta_lambda"] = float((np.log10(args.lambda_fixed) + 1.0) / 2.0)
     if args.no_block_denominator:
-        fields = {**fields, "block_denominator": False}
-    return LossParams.from_json_dict(fields), functions, source
+        ablation["block_denominator"] = False
+    return replace(params, **ablation), functions, source
 
 
 def cmd_train_eval(args) -> int:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the dataclass field-type check."""
+
+import numbers
+from dataclasses import fields
 
 
 class ParamLossError(Exception):
@@ -39,3 +42,25 @@ class TrainingDivergedError(ParamLossError):
 
 class ConfigError(ParamLossError):
     """A configuration value or file is invalid."""
+
+
+# the values a dataclass field of each annotated type takes; bool is an
+# Integral, so it is taken only where the annotation is bool
+_FIELD_KINDS = {int: (numbers.Integral, "an integer"),
+                float: (numbers.Real, "a real number"),
+                bool: (bool, "true or false")}
+
+
+def check_field_types(obj, error) -> None:
+    """Check every int, float and bool field of a dataclass instance.
+
+    Raises:
+        error: a field holds a value of another kind, such as 2.5 or true
+            for an int, "0.2" for a float, or "false" for a bool.
+    """
+    for f in fields(obj):
+        kind, noun = _FIELD_KINDS.get(f.type, (None, None))
+        value = getattr(obj, f.name)
+        if kind and (not isinstance(value, kind)
+                     or (isinstance(value, bool) and f.type is not bool)):
+            raise error(f"{f.name} must be {noun}, got {value!r}")

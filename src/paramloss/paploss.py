@@ -29,6 +29,7 @@ from .errors import (
     ConstraintViolationError,
     EmptyPositiveError,
     InvalidInputError,
+    check_field_types,
 )
 from .geometry import MEASUREMENTS, measure_grad
 from .piecewise import RatioParams, build, identity_params, on_unit_interval
@@ -149,6 +150,7 @@ class LossParams:
     block_denominator: bool = True
 
     def __post_init__(self):
+        check_field_types(self, InvalidInputError)
         if self.M < 1:
             raise InvalidInputError(f"M must be a positive integer, got {self.M}")
         for k, t in enumerate(self.thetas, start=1):
@@ -161,9 +163,6 @@ class LossParams:
         lambda_from_theta(self.theta_lambda)
         if self.measurement not in MEASUREMENTS:
             raise InvalidInputError(f"unknown measurement {self.measurement!r}")
-        if not isinstance(self.block_denominator, bool):
-            raise InvalidInputError(
-                f"block_denominator must be true or false, got {self.block_denominator!r}")
 
     @property
     def thetas(self) -> tuple:
@@ -200,14 +199,6 @@ class LossParams:
         return cls(t, t, t, t, t, theta_lambda=0.5, M=M,
                    measurement=measurement, block_denominator=block_denominator)
 
-    def same_as(self, other: "LossParams") -> bool:
-        return (
-            self.M == other.M
-            and self.measurement == other.measurement
-            and self.block_denominator == other.block_denominator
-            and np.array_equal(self.to_flat(), other.to_flat())
-        )
-
     def to_json_dict(self) -> dict:
         out = {f"theta{k}": t.ratios.tolist() for k, t in enumerate(self.thetas, start=1)}
         out.update(
@@ -230,8 +221,8 @@ class LossParams:
             raise InvalidInputError(f"missing loss parameter keys: {sorted(missing)}")
         thetas = [RatioParams(np.asarray(data[f"theta{k}"], dtype=float))
                   for k in range(1, 6)]
-        return cls(*thetas, theta_lambda=float(data["theta_lambda"]),
-                   M=int(data["M"]), measurement=str(data["measurement"]),
+        return cls(*thetas, theta_lambda=data["theta_lambda"], M=data["M"],
+                   measurement=data["measurement"],
                    block_denominator=data["block_denominator"])
 
 
@@ -317,15 +308,14 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
     return float(value), cache
 
 
-def loss_backward(cache: LossCache, params: LossParams):
-    """Analytic gradients of the cached forward pass.
+def loss_backward(cache: LossCache):
+    """Analytic gradients of the cached forward pass, under its parameters.
 
     Returns (score_grads, box_grads). The denominator is differentiated only
     when block_denominator is false; box gradients carry the lambda scale and
     are exactly zero for negative predictions.
     """
-    if cache.params is not params and not cache.params.same_as(params):
-        raise InvalidInputError("cache was produced for different loss parameters")
+    params = cache.params
     f1, f2, f3, f4, f5 = cache.functions
     batch = cache.batch
     n_pos = cache.n_pos
@@ -347,24 +337,24 @@ def loss_backward(cache: LossCache, params: LossParams):
         v[active] = f4.slope(d[active])
         score_grads -= (h @ v - h * v.sum(axis=1)) / (2.0 * n_pos)
 
+    # loss_forward builds no cache for a batch without positives
     box_grads = np.zeros_like(batch.boxes)
     pos = batch.positive_mask
-    if np.any(pos):
-        lp = l[pos]
-        cross = (g @ cache.f2d)[pos]  # sum_{i != k} g_i f2(d_ki), diagonal already zero
-        dsum_dl = f1.slope(lp) - (cache.numer / cache.denom)[pos] * f5.slope(lp) \
-            + f3.slope(lp) * cross
-        dl_dloss = -dsum_dl / n_pos
-        rescale = 0.5 if params.measurement == "giou" else 1.0
-        mg = measure_grad(batch.boxes[pos], batch.gt_boxes[batch.assignment[pos]],
-                          params.measurement)
-        lam = lambda_from_theta(params.theta_lambda)
-        box_grads[pos] = lam * (dl_dloss * rescale)[:, None] * mg
+    lp = l[pos]
+    cross = (g @ cache.f2d)[pos]  # sum_{i != k} g_i f2(d_ki), diagonal already zero
+    dsum_dl = f1.slope(lp) - (cache.numer / cache.denom)[pos] * f5.slope(lp) \
+        + f3.slope(lp) * cross
+    dl_dloss = -dsum_dl / n_pos
+    rescale = 0.5 if params.measurement == "giou" else 1.0
+    mg = measure_grad(batch.boxes[pos], batch.gt_boxes[batch.assignment[pos]],
+                      params.measurement)
+    lam = lambda_from_theta(params.theta_lambda)
+    box_grads[pos] = lam * (dl_dloss * rescale)[:, None] * mg
     return score_grads, box_grads
 
 
 def loss_with_grads(batch: DetectionBatch, params: LossParams, functions=None) -> LossResult:
     """Forward and backward in one call."""
     value, cache = loss_forward(batch, params, functions)
-    score_grads, box_grads = loss_backward(cache, params)
+    score_grads, box_grads = loss_backward(cache)
     return LossResult(value, score_grads, box_grads, cache.n_pos)

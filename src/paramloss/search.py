@@ -25,6 +25,7 @@ from .errors import (
     ConstraintViolationError,
     InvalidInputError,
     TrainingDivergedError,
+    check_field_types,
 )
 from .geometry import MEASUREMENTS
 from .optim import Adam
@@ -60,7 +61,7 @@ class SearchConfig:
     block_denominator: bool = True
 
     def __post_init__(self):
-        toybench.check_field_types(self)
+        check_field_types(self, ConfigError)
         if self.T < 1 or self.S < 1:
             raise ConfigError("T and S must be at least 1")
         # sigma0 = 0 is the degenerate no-exploration search, kept legal
@@ -210,14 +211,19 @@ def _train_seed(master: int, t: int, i: int) -> int:
     return int(np.random.SeedSequence([master, t, i]).generate_state(1)[0])
 
 
+def _loss_params(config: SearchConfig, theta) -> LossParams:
+    """The loss parameters a search under `config` trains for a flat theta."""
+    return LossParams.from_flat(theta, M=config.M, measurement=config.measurement,
+                                block_denominator=config.block_denominator)
+
+
 def _evaluate_sample(args) -> tuple[float, bool, float]:
     """Train under one parameter set; diverged or unbuildable samples get 0."""
-    (theta, train_set, eval_set, m, measurement, block, steps, seed) = args
+    config, theta, train_set, eval_set, seed = args
     start = time.perf_counter()
     try:
-        params = LossParams.from_flat(theta, M=m, measurement=measurement,
-                                      block_denominator=block)
-        model = toybench.train_inner(params, train_set, steps, seed)
+        params = _loss_params(config, theta)
+        model = toybench.train_inner(params, train_set, config.steps, seed)
         value = toybench.reward(model, eval_set)
         diverged = False
     except (TrainingDivergedError, ConstraintViolationError):
@@ -242,10 +248,6 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
         raise ConfigError("budget must be non-negative")
     if budget == 0:
         return None, []
-    if dataset is None:
-        if config.dataset is None:
-            raise ConfigError("no dataset: pass one in memory or set the dataset path")
-        dataset = toybench.load_dataset(config.dataset)[1:]
     train_set, eval_set = dataset
     history = []
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
@@ -255,8 +257,7 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
         for t, done in enumerate(range(0, budget, config.S), start=1):
             thetas = [propose(t, np.random.default_rng([config.seed, t, i]))
                       for i in range(min(config.S, budget - done))]
-            tasks = [(theta, train_set, eval_set, config.M, config.measurement,
-                      config.block_denominator, config.steps, _train_seed(config.seed, t, i))
+            tasks = [(config, theta, train_set, eval_set, _train_seed(config.seed, t, i))
                      for i, theta in enumerate(thetas)]
             results = list(evaluate(_evaluate_sample, tasks))
             for i, (theta, (value, diverged, wall_ms)) in enumerate(zip(thetas, results)):
@@ -267,19 +268,18 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
 
     # max() keeps the first of equal rewards, the earliest sample
     best = max((r for r in history if "reward" in r), key=lambda r: r["reward"])
-    return LossParams.from_flat(best["theta"], M=config.M, measurement=config.measurement,
-                                block_denominator=config.block_denominator), history
+    return _loss_params(config, best["theta"]), history
 
 
-def run_search(config: SearchConfig, dataset=None, jobs: int = 1):
+def run_search(config: SearchConfig, dataset, jobs: int = 1):
     """Truncated-normal sampling around an ascending mean (Algorithm: PPO2).
 
-    Returns (best LossParams, history). The history carries one record per
-    sample {round, sample_index, theta, reward, diverged, wall_ms} and one
-    record per round {round, mu, sigma} holding the post-update mean.
+    `dataset` is the in-memory (train scenes, eval scenes) pair. Returns
+    (best LossParams, history). The history carries one record per sample
+    {round, sample_index, theta, reward, diverged, wall_ms} and one record
+    per round {round, mu, sigma} holding the post-update mean.
     """
-    mu = LossParams.identity(M=config.M, measurement=config.measurement,
-                             block_denominator=config.block_denominator).to_flat()
+    mu = LossParams.identity(M=config.M).to_flat()
 
     def sigma(t):
         return config.sigma0 * (1.0 - (t - 1) / config.T)
@@ -296,10 +296,11 @@ def run_search(config: SearchConfig, dataset=None, jobs: int = 1):
                           lambda t, rng: sample_truncnorm(mu, sigma(t), rng), update)
 
 
-def random_search(config: SearchConfig, dataset=None, jobs: int = 1, budget=None):
+def random_search(config: SearchConfig, dataset, jobs: int = 1, budget=None):
     """Same-budget baseline: uniform samples over (0,1)^D, no mean update.
 
-    Returns (best LossParams or None, history); the history has exactly
+    `dataset` is the in-memory (train scenes, eval scenes) pair. Returns
+    (best LossParams or None, history); the history has exactly
     `budget` sample records (default T*S) grouped into rounds of S.
     """
     dim = LossParams.identity(M=config.M).to_flat().size

@@ -19,8 +19,7 @@ ranking signal), and standard-normal distractor dimensions up to F.
 """
 
 import json
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -32,6 +31,7 @@ from .errors import (
     EmptyPositiveError,
     InvalidInputError,
     TrainingDivergedError,
+    check_field_types,
 )
 from .geometry import pairwise_iou, validate_boxes
 from .optim import Adam
@@ -41,28 +41,6 @@ ASSIGN_THRESHOLD = 0.5
 MIN_BOX_SIZE = 0.02
 DELTA_CAP = 4.0  # box-size deltas are clipped to keep exp() tame
 HIDDEN = 16  # hidden units of the detector that train_inner trains
-
-
-# the values a config field of each annotated type takes; bool is an
-# Integral, so it is taken only where the annotation is bool
-_FIELD_KINDS = {int: (numbers.Integral, "an integer"),
-                float: (numbers.Real, "a real number"),
-                bool: (bool, "true or false")}
-
-
-def check_field_types(config) -> None:
-    """Check every int, float and bool field of a config dataclass.
-
-    Raises:
-        ConfigError: a field holds a value of another kind, such as 2.5 or
-            true for an int, "0.2" for a float, or "false" for a bool.
-    """
-    for f in fields(config):
-        kind, noun = _FIELD_KINDS.get(f.type, (None, None))
-        value = getattr(config, f.name)
-        if kind and (not isinstance(value, kind)
-                     or (isinstance(value, bool) and f.type is not bool)):
-            raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +55,7 @@ class DatasetConfig:
     seed: int = 7
 
     def __post_init__(self):
-        check_field_types(self)
+        check_field_types(self, ConfigError)
         # stored as a float, so an integral noise such as 0 is written back as 0.0
         object.__setattr__(self, "noise", float(self.noise))
         if self.scenes < 2:
@@ -313,7 +291,6 @@ class _ForwardCache:
     features: np.ndarray
     hidden: np.ndarray
     scores: np.ndarray
-    anchors: np.ndarray
     aw: np.ndarray
     ah: np.ndarray
     exp_w: np.ndarray
@@ -367,7 +344,7 @@ def _model_apply(model: ToyModel, features: np.ndarray, anchors: np.ndarray):
     y1, y2, out_y1, out_y2 = _decode_axis(anchors[:, 1], anchors[:, 3], dy * ah, hp, ah)
     boxes = np.stack([x1, y1, x2, y2], axis=1)
 
-    cache = _ForwardCache(x, u, scores, anchors, aw, ah, exp_w, exp_h,
+    cache = _ForwardCache(x, u, scores, aw, ah, exp_w, exp_h,
                           size_act_w, size_act_h, cap_act_w, cap_act_h,
                           out_x1, out_x2, out_y1, out_y2)
     return boxes, scores, cache
@@ -442,6 +419,8 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
         raise InvalidInputError("steps must be non-negative")
     if not train_set:
         raise InvalidInputError("training needs at least one scene")
+    if batch_scenes < 1:
+        raise InvalidInputError("batch_scenes must be at least 1")
     n_features = train_set[0].features.shape[1]
     model = ToyModel.init(n_features, HIDDEN, seed)
     if steps == 0:
@@ -480,7 +459,7 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
             value, loss_cache = loss_forward(batch, params, functions)
         except EmptyPositiveError:
             continue
-        score_grads, box_grads = loss_backward(loss_cache, params)
+        score_grads, box_grads = loss_backward(loss_cache)
         if not (np.isfinite(value) and np.all(np.isfinite(score_grads))
                 and np.all(np.isfinite(box_grads))):
             raise TrainingDivergedError(step)

@@ -224,6 +224,20 @@ class TestTrainEvalCommand:
         assert fields["theta2"] == fields["theta1"]
         assert fields["theta5"] == fields["theta1"]
 
+    def test_all_ablation_flags(self, tmp_path, dataset_dir):
+        params = LossParams.from_flat(np.random.default_rng(5).uniform(0.2, 0.8, 41))
+        params_path = tmp_path / "p.json"
+        params_path.write_text(json.dumps(params.to_json_dict()))
+        config = _search_config_file(tmp_path, dataset_dir)
+        out = tmp_path / "ablate"
+        assert main(["train-eval", str(params_path), "--shared-params", "--lambda-fixed",
+                     "2", "--no-block-denominator", "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        expected = params.to_json_dict()
+        expected.update({f"theta{k}": expected["theta1"] for k in range(2, 6)},
+                        theta_lambda=(np.log10(2.0) + 1.0) / 2.0, block_denominator=False)
+        assert json.loads((out / "metrics.json").read_text())["params"] == expected
+
     def test_no_block_denominator_flag(self, tmp_path, dataset_dir):
         config = _search_config_file(tmp_path, dataset_dir)
         out = tmp_path / "nb"
@@ -312,6 +326,16 @@ class TestExportFunctions:
         params_path.write_text("{}")
         assert main(["export-functions", str(params_path),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [("M", 5.9), ("M", 5.0),
+                                            ("theta_lambda", "0.5")])
+    def test_mistyped_value_exits_config(self, tmp_path, key, value):
+        params_path = tmp_path / "p.json"
+        params_path.write_text(json.dumps({**LossParams.identity().to_json_dict(),
+                                           key: value}))
+        out = tmp_path / "exp"
+        assert main(["export-functions", str(params_path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestCompare:

@@ -88,7 +88,7 @@ def _reference_train(params, train_set, steps, seed, functions=None,
                                          params, functions)
         except EmptyPositiveError:
             continue
-        score_grads, box_grads = loss_backward(loss_cache, params)
+        score_grads, box_grads = loss_backward(loss_cache)
         grad = _weight_grads(model, cache, score_grads, box_grads)
         weights = opt.step(weights, grad, lr=lr * (1.0 - step / steps))
     return weights

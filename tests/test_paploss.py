@@ -17,7 +17,6 @@ from paramloss.paploss import (
     StepFn,
     handcrafted_substitution,
     lambda_from_theta,
-    loss_backward,
     loss_forward,
     loss_with_grads,
     normalize_score_diff,
@@ -37,6 +36,12 @@ def random_loss_params(rng, M=5, measurement="giou", block=True, lam_range=(0.1,
     flat[-1] = rng.uniform(*lam_range)
     return LossParams.from_flat(flat, M=M, measurement=measurement,
                                 block_denominator=block)
+
+
+def assert_same_params(p, q):
+    assert (p.M, p.measurement, p.block_denominator) == (q.M, q.measurement,
+                                                         q.block_denominator)
+    assert np.array_equal(p.to_flat(), q.to_flat())
 
 
 def random_batch(rng, max_preds=12, measurement_gt_count=(1, 4), score_range=(0.0, 2.0)):
@@ -92,13 +97,13 @@ class TestLossParams:
         p = random_loss_params(rng, measurement="l1", block=False)
         q = LossParams.from_flat(p.to_flat(), M=5, measurement="l1",
                                  block_denominator=False)
-        assert p.same_as(q)
+        assert_same_params(p, q)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(313)
         p = random_loss_params(rng)
         q = LossParams.from_json_dict(p.to_json_dict())
-        assert p.same_as(q)
+        assert_same_params(p, q)
         assert q.measurement == "giou" and q.block_denominator is True
 
     def test_json_unknown_key_rejected(self):
@@ -113,6 +118,29 @@ class TestLossParams:
         d["block_denominator"] = flag
         with pytest.raises(InvalidInputError):
             LossParams.from_json_dict(d)
+
+    @pytest.mark.parametrize("key, value", [
+        ("M", 5.9), ("M", 5.0), ("M", "5"), ("M", True),
+        ("theta_lambda", "0.5"), ("theta_lambda", True), ("theta_lambda", None),
+    ])
+    def test_json_mistyped_value_rejected(self, key, value):
+        d = LossParams.identity().to_json_dict()
+        d[key] = value
+        with pytest.raises(InvalidInputError, match=key):
+            LossParams.from_json_dict(d)
+
+    @pytest.mark.parametrize("key, value", [
+        ("M", 5.0), ("M", True), ("theta_lambda", "0.5"), ("theta_lambda", False),
+    ])
+    def test_mistyped_value_rejected(self, key, value):
+        t = LossParams.identity().theta1
+        with pytest.raises(InvalidInputError, match=key):
+            LossParams(t, t, t, t, t, **{"theta_lambda": 0.5, key: value})
+
+    def test_integral_and_real_values_accepted(self):
+        t = LossParams.identity(M=2).theta1
+        p = LossParams(t, t, t, t, t, theta_lambda=np.float64(0.25), M=np.int64(2))
+        assert p.dim == 11
 
     def test_json_missing_key_rejected(self):
         d = LossParams.identity().to_json_dict()
@@ -436,17 +464,6 @@ class TestBackward:
             # the localization branch never sees the denominator's gradient
             assert np.array_equal(blocked.box_grads, free.box_grads)
         assert hits > 0
-
-    def test_mismatched_cache_rejected(self):
-        rng = np.random.default_rng(431)
-        batch = random_batch(rng)
-        while batch.n_positive == 0:
-            batch = random_batch(rng)
-        p1 = random_loss_params(rng)
-        p2 = random_loss_params(rng)
-        _, cache = loss_forward(batch, p1)
-        with pytest.raises(InvalidInputError):
-            loss_backward(cache, p2)
 
     def test_result_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):

@@ -323,10 +323,6 @@ class TestRunSearch:
         assert np.array_equal(best_serial.to_flat(), best_par.to_flat())
         assert _strip_wall(hist_serial) == _strip_wall(hist_par)
 
-    def test_no_dataset_raises(self):
-        with pytest.raises(ConfigError):
-            run_search(tiny_config())
-
 
 class TestRandomSearch:
     def test_budget_zero(self, data):

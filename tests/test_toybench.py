@@ -330,7 +330,7 @@ class TestWeightGradients:
             if not _kink_margins_ok(raw, loss_cache, params):
                 continue
 
-            score_grads, box_grads = loss_backward(loss_cache, params)
+            score_grads, box_grads = loss_backward(loss_cache)
             analytic = _weight_grads(model, cache, score_grads, box_grads)
 
             def composite(vec):
@@ -367,6 +367,13 @@ class TestTrainInner:
     def test_empty_train_set_rejected(self):
         with pytest.raises(InvalidInputError):
             train_inner(LossParams.identity(), (), steps=1, seed=0)
+
+    @pytest.mark.parametrize("batch_scenes", [0, -1])
+    def test_batch_scenes_below_one_rejected(self, batch_scenes):
+        train, _ = generate(SMALL)
+        with pytest.raises(InvalidInputError, match="batch_scenes"):
+            train_inner(LossParams.identity(), train, steps=1, seed=0,
+                        batch_scenes=batch_scenes)
 
     def test_deterministic(self):
         train, _ = generate(SMALL)
