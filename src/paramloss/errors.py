@@ -59,8 +59,12 @@ def check_field_types(obj, error) -> None:
             for an int, "0.2" for a float, or "false" for a bool.
     """
     for f in fields(obj):
-        kind, noun = _FIELD_KINDS.get(f.type, (None, None))
-        value = getattr(obj, f.name)
-        if kind and (not isinstance(value, kind)
-                     or (isinstance(value, bool) and f.type is not bool)):
-            raise error(f"{f.name} must be {noun}, got {value!r}")
+        check_value_type(f.name, f.type, getattr(obj, f.name), error)
+
+
+def check_value_type(name: str, annotation, value, error) -> None:
+    """The field check of check_field_types, for one value annotated as `annotation`."""
+    kind, noun = _FIELD_KINDS.get(annotation, (None, None))
+    if kind and (not isinstance(value, kind)
+                 or (isinstance(value, bool) and annotation is not bool)):
+        raise error(f"{name} must be {noun}, got {value!r}")

@@ -5,6 +5,8 @@ coordinates. All measurements are exposed in two flavours: scalar operations
 on :class:`Box` pairs, and vectorized operations on ``(N, 4)`` arrays used by
 the loss and the benchmark. Both share one array kernel, which computes the
 intersection, union and enclosing hull for IoU and GIoU values and gradients.
+The kernels treat a box as two (x, y) corner pairs, ``lo = b[..., :2]`` and
+``hi = b[..., 2:]``, so that one ``(..., 2)`` expression covers both axes.
 
 Gradients are piecewise affine. At non-differentiable configurations
 (coincident edges, exactly touching boxes) the right-sided derivative is
@@ -54,32 +56,33 @@ def validate_boxes(boxes: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"boxes must have last dimension 4, got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise InvalidInputError("box coordinates must be finite")
-    if not (np.all(b[..., 2] > b[..., 0]) and np.all(b[..., 3] > b[..., 1])):
+    if not np.all(b[..., 2:] > b[..., :2]):
         raise InvalidInputError("degenerate box: requires x1 < x2 and y1 < y2")
     return b
 
 
 def _areas(b: np.ndarray) -> np.ndarray:
-    return (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    wh = b[..., 2:] - b[..., :2]
+    return wh[..., 0] * wh[..., 1]
 
 
 def _overlap_arrays(a: np.ndarray, b: np.ndarray):
     """Elementwise IoU, GIoU and the intermediates their gradients reuse.
 
-    Returns (iou, giou, (iw, ih, inter, union, cw, ch, hull)). iw and ih stay
-    unclipped (negative when disjoint) so the gradient's zeros keep their sign.
+    Returns (iou, giou, (iwh, inter, union, cwh, hull)), where iwh and cwh
+    are the (..., 2) intersection and hull extents. iwh stays unclipped
+    (negative when disjoint) so the gradient's zeros keep their sign.
     """
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    iwh = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
+    clipped = np.maximum(iwh, 0.0)
+    inter = clipped[..., 0] * clipped[..., 1]
     union = _areas(a) + _areas(b) - inter
     iou = inter / union
 
-    cw = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
-    ch = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
-    hull = cw * ch
+    cwh = np.maximum(a[..., 2:], b[..., 2:]) - np.minimum(a[..., :2], b[..., :2])
+    hull = cwh[..., 0] * cwh[..., 1]
     giou = iou - (hull - union) / hull
-    return iou, giou, (iw, ih, inter, union, cw, ch, hull)
+    return iou, giou, (iwh, inter, union, cwh, hull)
 
 
 def iou(a: Box, b: Box) -> float:
@@ -135,35 +138,28 @@ def _measure_grad_arrays(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
         grad[slack <= 0.0] = 0.0
         return grad
 
-    ax1, ay1, ax2, ay2 = (a[..., i] for i in range(4))
-    bx1, by1, bx2, by2 = (b[..., i] for i in range(4))
-    _, _, (iw, ih, inter, union, cw, ch, hull) = _overlap_arrays(a, b)
+    a_lo, a_hi, b_lo, b_hi = a[..., :2], a[..., 2:], b[..., :2], b[..., 2:]
+    _, _, (iwh, inter, union, cwh, hull) = _overlap_arrays(a, b)
 
     # Right-sided tie rules: max picks the variable at a tie, min does not.
-    mx1 = (bx1 >= ax1).astype(float)
-    my1 = (by1 >= ay1).astype(float)
-    mx2 = (bx2 < ax2).astype(float)
-    my2 = (by2 < ay2).astype(float)
-    act = ((iw > 0.0) & (ih > 0.0)).astype(float)
-    d_inter = np.stack(
-        [-mx1 * ih * act, -my1 * iw * act, mx2 * ih * act, my2 * iw * act],
-        axis=-1,
-    )
+    # A corner's x moves the area by the height and its y by the width, hence
+    # the swapped extents [..., ::-1].
+    ihw = iwh[..., ::-1]
+    act = ((iwh[..., 0] > 0.0) & (iwh[..., 1] > 0.0)).astype(float)[..., None]
+    d_inter = np.concatenate([-(b_lo >= a_lo).astype(float) * ihw * act,
+                              (b_hi < a_hi).astype(float) * ihw * act], axis=-1)
 
-    bw = bx2 - bx1
-    bh = by2 - by1
-    d_area_b = np.stack([-bh, -bw, bh, bw], axis=-1)
+    bhw = (b_hi - b_lo)[..., ::-1]
+    d_area_b = np.concatenate([-bhw, bhw], axis=-1)
 
     d_union = d_area_b - d_inter
     d_iou = (d_inter * union[..., None] - inter[..., None] * d_union) / union[..., None] ** 2
     if kind == "iou":
         return d_iou
 
-    nx1 = (bx1 < ax1).astype(float)
-    ny1 = (by1 < ay1).astype(float)
-    nx2 = (bx2 >= ax2).astype(float)
-    ny2 = (by2 >= ay2).astype(float)
-    d_hull = np.stack([-nx1 * ch, -ny1 * cw, nx2 * ch, ny2 * cw], axis=-1)
+    chw = cwh[..., ::-1]
+    d_hull = np.concatenate([-(b_lo < a_lo).astype(float) * chw,
+                             (b_hi >= a_hi).astype(float) * chw], axis=-1)
 
     # giou = iou - 1 + union / hull
     return d_iou + d_union / hull[..., None] - (union / hull**2)[..., None] * d_hull

@@ -30,6 +30,7 @@ from .errors import (
     EmptyPositiveError,
     InvalidInputError,
     check_field_types,
+    check_value_type,
 )
 from .geometry import MEASUREMENTS, measure_grad
 from .piecewise import RatioParams, build, identity_params, on_unit_interval
@@ -180,6 +181,8 @@ class LossParams:
     @classmethod
     def from_flat(cls, vec, M: int = 5, measurement: str = "giou",
                   block_denominator: bool = True) -> "LossParams":
+        # M sizes the slices below, so it is checked before any use
+        check_value_type("M", int, M, InvalidInputError)
         v = np.asarray(vec, dtype=float).reshape(-1)
         expected = 10 * (M - 1) + 1
         if v.size != expected:

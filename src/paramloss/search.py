@@ -49,10 +49,6 @@ class SearchConfig:
     T: int = 40
     S: int = 8
     sigma0: float = 0.2
-    epsilon: float = 0.1
-    inner_iterations: int = 100
-    inner_lr: float = 0.01
-    inner_warmup: int = 30
     M: int = 5
     measurement: str = "giou"
     steps: int = 300
@@ -67,14 +63,6 @@ class SearchConfig:
         # sigma0 = 0 is the degenerate no-exploration search, kept legal
         if not (np.isfinite(self.sigma0) and self.sigma0 >= 0.0):
             raise ConfigError("sigma0 must be a finite non-negative real")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ConfigError("epsilon must lie in (0, 1)")
-        if self.inner_iterations < 1 or self.inner_warmup < 1:
-            raise ConfigError("Adam iteration counts must be at least 1")
-        if self.inner_warmup > self.inner_iterations:
-            raise ConfigError("warmup cannot exceed the iteration count")
-        if self.inner_lr <= 0.0:
-            raise ConfigError("inner Adam step size must be positive")
         if self.M < 2:
             raise ConfigError("M must be at least 2")
         if self.measurement not in MEASUREMENTS:
@@ -176,14 +164,15 @@ def _ppo2_grad(thetas: np.ndarray, advantages: np.ndarray, mu: np.ndarray,
     return grads.mean(axis=0) / thetas.shape[1]
 
 
-def ppo2_update(samples, rewards, mu_t: np.ndarray, sigma: float, epsilon: float,
+def ppo2_update(samples, rewards, mu_t: np.ndarray, sigma: float, epsilon: float = 0.1,
                 *, iterations: int = 100, base_lr: float = 0.01,
                 warmup: int = 30) -> np.ndarray:
     """Ascend the clipped surrogate from mu_t; returns the projected mean.
 
     Adam with a step size ramping linearly from 0 over the first `warmup`
     iterations. All-equal rewards mean zero advantage everywhere, in which
-    case mu_t is returned unchanged.
+    case mu_t is returned unchanged. The defaults are the settings
+    run_search uses.
     """
     thetas = np.asarray(samples, dtype=float)
     rewards = np.asarray(rewards, dtype=float)
@@ -287,9 +276,7 @@ def run_search(config: SearchConfig, dataset, jobs: int = 1):
     def update(t, thetas, rewards):
         nonlocal mu
         if config.S >= 2 and sigma(t) > 0.0:
-            mu = ppo2_update(thetas, rewards, mu, sigma(t), config.epsilon,
-                             iterations=config.inner_iterations,
-                             base_lr=config.inner_lr, warmup=config.inner_warmup)
+            mu = ppo2_update(thetas, rewards, mu, sigma(t))
         return {"round": t, "mu": mu.tolist(), "sigma": sigma(t)}
 
     return _search_rounds(config, dataset, jobs, config.T * config.S,

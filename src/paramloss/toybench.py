@@ -141,18 +141,18 @@ class Scene:
                    np.asarray(data["source"], dtype=np.int64))
 
 
+def _shift_into_unit(lo: np.ndarray, hi: np.ndarray):
+    """Shift each span [lo, hi] (width-preserving) back into [0, 1]."""
+    shift = np.maximum(0.0, -lo) - np.maximum(0.0, hi - 1.0)
+    return lo + shift, hi + shift
+
+
 def _fit_boxes_into_unit_square(boxes: np.ndarray) -> np.ndarray:
     """Enforce minimum extent, then shift (width-preserving) into [0,1]^2."""
-    out = boxes.copy()
-    out[:, 2] = np.maximum(out[:, 2], out[:, 0] + MIN_BOX_SIZE)
-    out[:, 3] = np.maximum(out[:, 3], out[:, 1] + MIN_BOX_SIZE)
-    for lo, hi in ((0, 2), (1, 3)):
-        span = np.minimum(out[:, hi] - out[:, lo], 1.0)
-        out[:, hi] = out[:, lo] + span
-        shift = np.maximum(0.0, -out[:, lo]) - np.maximum(0.0, out[:, hi] - 1.0)
-        out[:, lo] += shift
-        out[:, hi] += shift
-    return out
+    lo = boxes[:, :2]
+    hi = np.maximum(boxes[:, 2:], lo + MIN_BOX_SIZE)
+    hi = lo + np.minimum(hi - lo, 1.0)
+    return np.concatenate(_shift_into_unit(lo, hi), axis=1)
 
 
 def _random_boxes(rng, count: int) -> np.ndarray:
@@ -288,30 +288,17 @@ class ToyModel:
 
 @dataclass(eq=False)
 class _ForwardCache:
+    """Forward intermediates; each (N, 2) array holds an (x, y) pair."""
+
     features: np.ndarray
     hidden: np.ndarray
     scores: np.ndarray
-    aw: np.ndarray
-    ah: np.ndarray
-    exp_w: np.ndarray
-    exp_h: np.ndarray
-    size_act_w: np.ndarray
-    size_act_h: np.ndarray
-    cap_act_w: np.ndarray
-    cap_act_h: np.ndarray
-    out_x1: np.ndarray
-    out_x2: np.ndarray
-    out_y1: np.ndarray
-    out_y2: np.ndarray
-
-
-def _decode_axis(anchor_lo, anchor_hi, center_move, extent_new, extent_old):
-    # corner-offset form: bitwise identity when both deltas are zero
-    grow_half = (extent_new - extent_old) / 2.0
-    lo = anchor_lo + center_move - grow_half
-    hi = anchor_hi + center_move + grow_half
-    shift = np.maximum(0.0, -lo) - np.maximum(0.0, hi - 1.0)
-    return lo + shift, hi + shift, lo < 0.0, hi > 1.0
+    extent: np.ndarray  # anchor width and height
+    exp_size: np.ndarray
+    size_act: np.ndarray  # the size clip to [MIN_BOX_SIZE, 1] is inactive
+    cap_act: np.ndarray  # the size delta is inside +-DELTA_CAP
+    out_lo: np.ndarray  # the decoded lo corner lay below 0 before the shift
+    out_hi: np.ndarray  # the decoded hi corner lay above 1 before the shift
 
 
 def _model_apply(model: ToyModel, features: np.ndarray, anchors: np.ndarray):
@@ -324,55 +311,44 @@ def _model_apply(model: ToyModel, features: np.ndarray, anchors: np.ndarray):
     u = np.tanh(x @ model.w1 + model.b1)
     out = u @ model.w2 + model.b2
     scores = expit(out[:, 0])
-    dx, dy, dw, dh = out[:, 1], out[:, 2], out[:, 3], out[:, 4]
+    # columns 1:3 move the center, 3:5 scale the extent, each as an (x, y) pair
+    move, size = out[:, 1:3], out[:, 3:5]
 
-    aw = anchors[:, 2] - anchors[:, 0]
-    ah = anchors[:, 3] - anchors[:, 1]
+    extent = anchors[:, 2:] - anchors[:, :2]
+    cap_act = np.abs(size) < DELTA_CAP
+    exp_size = np.exp(np.clip(size, -DELTA_CAP, DELTA_CAP))
+    raw = extent * exp_size
+    size_act = (raw > MIN_BOX_SIZE) & (raw < 1.0)
 
-    cap_act_w = np.abs(dw) < DELTA_CAP
-    cap_act_h = np.abs(dh) < DELTA_CAP
-    exp_w = np.exp(np.clip(dw, -DELTA_CAP, DELTA_CAP))
-    exp_h = np.exp(np.clip(dh, -DELTA_CAP, DELTA_CAP))
-    raw_w = aw * exp_w
-    raw_h = ah * exp_h
-    wp = np.clip(raw_w, MIN_BOX_SIZE, 1.0)
-    hp = np.clip(raw_h, MIN_BOX_SIZE, 1.0)
-    size_act_w = (raw_w > MIN_BOX_SIZE) & (raw_w < 1.0)
-    size_act_h = (raw_h > MIN_BOX_SIZE) & (raw_h < 1.0)
+    # corner-offset form: bitwise identity when both deltas are zero
+    center_move = move * extent
+    grow_half = (np.clip(raw, MIN_BOX_SIZE, 1.0) - extent) / 2.0
+    lo = anchors[:, :2] + center_move - grow_half
+    hi = anchors[:, 2:] + center_move + grow_half
+    boxes = np.concatenate(_shift_into_unit(lo, hi), axis=1)
 
-    x1, x2, out_x1, out_x2 = _decode_axis(anchors[:, 0], anchors[:, 2], dx * aw, wp, aw)
-    y1, y2, out_y1, out_y2 = _decode_axis(anchors[:, 1], anchors[:, 3], dy * ah, hp, ah)
-    boxes = np.stack([x1, y1, x2, y2], axis=1)
-
-    cache = _ForwardCache(x, u, scores, aw, ah, exp_w, exp_h,
-                          size_act_w, size_act_h, cap_act_w, cap_act_h,
-                          out_x1, out_x2, out_y1, out_y2)
+    cache = _ForwardCache(x, u, scores, extent, exp_size, size_act, cap_act,
+                          lo < 0.0, hi > 1.0)
     return boxes, scores, cache
 
 
 def _weight_grads(model: ToyModel, cache: _ForwardCache,
                   score_grads: np.ndarray, box_grads: np.ndarray) -> np.ndarray:
     """Chain loss gradients on (scores, boxes) back to a flat weight gradient."""
-    gx1, gy1, gx2, gy2 = box_grads.T
-
-    def axis_chain(g_lo, g_hi, lo_out, hi_out, a_extent, exp_d, size_act, cap_act):
-        lo_out = lo_out.astype(float)
-        hi_out = hi_out.astype(float)
-        d_lo_raw = g_lo * (1.0 - lo_out) - g_hi * lo_out
-        d_hi_raw = g_hi * (1.0 - hi_out) - g_lo * hi_out
-        d_center = d_lo_raw + d_hi_raw
-        d_extent = (d_hi_raw - d_lo_raw) / 2.0
-        d_offset = d_center * a_extent
-        d_size = d_extent * a_extent * exp_d * size_act * cap_act
-        return d_offset, d_size
-
-    g_dx, g_dw = axis_chain(gx1, gx2, cache.out_x1, cache.out_x2,
-                            cache.aw, cache.exp_w, cache.size_act_w, cache.cap_act_w)
-    g_dy, g_dh = axis_chain(gy1, gy2, cache.out_y1, cache.out_y2,
-                            cache.ah, cache.exp_h, cache.size_act_h, cache.cap_act_h)
+    g_lo, g_hi = box_grads[:, :2], box_grads[:, 2:]
+    lo_out = cache.out_lo.astype(float)
+    hi_out = cache.out_hi.astype(float)
+    # a shift pins the corner that poked out to the edge and moves the other
+    # corner by as much
+    d_lo_raw = g_lo * (1.0 - lo_out) - g_hi * lo_out
+    d_hi_raw = g_hi * (1.0 - hi_out) - g_lo * hi_out
+    d_center = d_lo_raw + d_hi_raw
+    d_extent = (d_hi_raw - d_lo_raw) / 2.0
+    d_move = d_center * cache.extent
+    d_size = d_extent * cache.extent * cache.exp_size * cache.size_act * cache.cap_act
     g_logit = score_grads * cache.scores * (1.0 - cache.scores)
 
-    out_grad = np.stack([g_logit, g_dx, g_dy, g_dw, g_dh], axis=1)
+    out_grad = np.column_stack([g_logit, d_move, d_size])
     g_w2 = cache.hidden.T @ out_grad
     g_b2 = out_grad.sum(axis=0)
     g_hidden = (out_grad @ model.w2.T) * (1.0 - cache.hidden**2)
@@ -434,8 +410,11 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     shuffle_rng = np.random.default_rng([seed, 733])
     batch_scenes = min(batch_scenes, len(train_set))
     order = []
-    opt = Adam(model.to_vector().size, lr=lr)
     weights = model.to_vector()
+    opt = Adam(weights.size, lr=lr)
+    # the model's arrays are views of this one buffer, which each step updates
+    # in place, so the weights are checked once here and then per step below
+    model = model.with_vector(weights)
 
     for step in range(steps):
         if len(order) < batch_scenes:
@@ -443,11 +422,9 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
         picked = [train_set[i] for i in order[:batch_scenes]]
         order = order[batch_scenes:]
 
-        model = model.with_vector(weights)
         feats, anchors, gts, assignment = _merge_scenes(picked)
         boxes, scores, cache = _model_apply(model, feats, anchors)
-        degenerate = (np.any(boxes[:, 2] - boxes[:, 0] <= 0.0)
-                      or np.any(boxes[:, 3] - boxes[:, 1] <= 0.0))
+        degenerate = np.any(boxes[:, 2:] - boxes[:, :2] <= 0.0)
         if degenerate or not (np.all(np.isfinite(boxes)) and np.all(np.isfinite(scores))):
             raise TrainingDivergedError(step)
         # every DetectionBatch check already holds: the boxes are finite and
@@ -468,11 +445,11 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
             raise TrainingDivergedError(step)
         # linear step-size decay: collapses the seed-to-seed spread of the
         # final weights by an order of magnitude versus a constant rate
-        weights = opt.step(weights, grad, lr=lr * (1.0 - step / steps))
+        weights[:] = opt.step(weights, grad, lr=lr * (1.0 - step / steps))
         if not np.all(np.isfinite(weights)):
             raise TrainingDivergedError(step)
 
-    return model.with_vector(weights)
+    return model
 
 
 def reward(model: ToyModel, eval_scenes) -> float:

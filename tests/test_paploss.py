@@ -1,6 +1,8 @@
 """Loss tests: step-function reduction, analytic gradients vs finite
 differences, parameter plumbing, handcrafted baselines."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -131,11 +133,17 @@ class TestLossParams:
 
     @pytest.mark.parametrize("key, value", [
         ("M", 5.0), ("M", True), ("theta_lambda", "0.5"), ("theta_lambda", False),
+        ("M", "5"),
     ])
     def test_mistyped_value_rejected(self, key, value):
         t = LossParams.identity().theta1
         with pytest.raises(InvalidInputError, match=key):
             LossParams(t, t, t, t, t, **{"theta_lambda": 0.5, key: value})
+        if key == "M":
+            # from_flat sizes its slices by M, so it checks M first
+            message = re.escape(f"M must be an integer, got {value!r}")
+            with pytest.raises(InvalidInputError, match=message):
+                LossParams.from_flat(LossParams.identity().to_flat(), M=value)
 
     def test_integral_and_real_values_accepted(self):
         t = LossParams.identity(M=2).theta1
