@@ -117,13 +117,17 @@ def loc_scores(batch: DetectionBatch, measurement: str = "iou") -> np.ndarray:
     L1-based score already live there, GIoU in [-1, 1] is mapped through
     (g + 1) / 2.
     """
-    out = np.zeros(batch.boxes.shape[0])
     pos = batch.positive_mask
-    if np.any(pos):
-        vals = measure(batch.boxes[pos], batch.gt_boxes[batch.assignment[pos]], measurement)
-        if measurement == "giou":
-            vals = (vals + 1.0) / 2.0
-        out[pos] = vals
+    if not np.any(pos):
+        return np.zeros(batch.boxes.shape[0])
+    vals = measure(batch.boxes[pos], batch.gt_boxes[batch.assignment[pos]], measurement)
+    return _scatter_loc_scores(batch, vals, measurement)
+
+
+def _scatter_loc_scores(batch: DetectionBatch, vals: np.ndarray, measurement: str) -> np.ndarray:
+    """loc_scores from the positives' measurement values, in mask order."""
+    out = np.zeros(batch.boxes.shape[0])
+    out[batch.positive_mask] = (vals + 1.0) / 2.0 if measurement == "giou" else vals
     return out
 
 

@@ -117,29 +117,31 @@ def giou_grad(a: Box, b: Box, include_enclosing: bool = True) -> np.ndarray:
     dropped, which yields the gradient of plain IoU through the same code
     path.
     """
-    g = _measure_grad_arrays(a.array[None, :], b.array[None, :],
-                             "giou" if include_enclosing else "iou")
+    _, g = _measure_arrays(a.array[None, :], b.array[None, :],
+                           "giou" if include_enclosing else "iou")
     return g[0]
 
 
 def l1_score_grad(a: Box, b: Box) -> np.ndarray:
     """Gradient of l1_score(a, b) with respect to b's four coordinates."""
-    return _measure_grad_arrays(a.array[None, :], b.array[None, :], "l1")[0]
+    return _measure_arrays(a.array[None, :], b.array[None, :], "l1")[1][0]
 
 
-def _measure_grad_arrays(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise measurement gradient wrt b for (N, 4) arrays (a fixed).
+def _measure_arrays(a: np.ndarray, b: np.ndarray, kind: str):
+    """Elementwise measurement values of b against a, and their gradients
+    wrt b, for (N, 4) arrays (a fixed); one overlap pass serves both.
 
-    The caller checks kind: anything but "l1" or "iou" gets the GIoU gradient.
+    Returns (values, grads). The caller checks the boxes and kind: anything
+    but "l1" or "iou" is measured as GIoU.
     """
     if kind == "l1":
         slack = 1.0 - np.abs(b - a).sum(axis=-1) / 4.0
         grad = -np.sign(b - a) / 4.0
         grad[slack <= 0.0] = 0.0
-        return grad
+        return np.maximum(0.0, slack), grad
 
     a_lo, a_hi, b_lo, b_hi = a[..., :2], a[..., 2:], b[..., :2], b[..., 2:]
-    _, _, (iwh, inter, union, cwh, hull) = _overlap_arrays(a, b)
+    iou, giou, (iwh, inter, union, cwh, hull) = _overlap_arrays(a, b)
 
     # Right-sided tie rules: max picks the variable at a tie, min does not.
     # A corner's x moves the area by the height and its y by the width, hence
@@ -155,14 +157,14 @@ def _measure_grad_arrays(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
     d_union = d_area_b - d_inter
     d_iou = (d_inter * union[..., None] - inter[..., None] * d_union) / union[..., None] ** 2
     if kind == "iou":
-        return d_iou
+        return iou, d_iou
 
     chw = cwh[..., ::-1]
     d_hull = np.concatenate([-(b_lo < a_lo).astype(float) * chw,
                              (b_hi >= a_hi).astype(float) * chw], axis=-1)
 
     # giou = iou - 1 + union / hull
-    return d_iou + d_union / hull[..., None] - (union / hull**2)[..., None] * d_hull
+    return giou, d_iou + d_union / hull[..., None] - (union / hull**2)[..., None] * d_hull
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,23 +176,19 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _overlap_arrays(a[:, None, :], b[None, :, :])[0]
 
 
-def measure(pred: np.ndarray, gt: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise measurement values for paired (N, 4) box arrays."""
-    pred = validate_boxes(pred)
-    gt = validate_boxes(gt)
-    if kind == "iou":
-        return _overlap_arrays(gt, pred)[0]
-    if kind == "giou":
-        return _overlap_arrays(gt, pred)[1]
-    if kind == "l1":
-        return np.maximum(0.0, 1.0 - np.abs(pred - gt).sum(axis=-1) / 4.0)
-    raise InvalidInputError(f"unknown measurement {kind!r}")
-
-
-def measure_grad(pred: np.ndarray, gt: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise measurement gradients wrt pred for paired (N, 4) arrays."""
+def _checked_measure(pred, gt, kind):
     pred = validate_boxes(pred)
     gt = validate_boxes(gt)
     if kind not in MEASUREMENTS:
         raise InvalidInputError(f"unknown measurement {kind!r}")
-    return _measure_grad_arrays(gt, pred, kind)
+    return _measure_arrays(gt, pred, kind)
+
+
+def measure(pred: np.ndarray, gt: np.ndarray, kind: str) -> np.ndarray:
+    """Elementwise measurement values for paired (N, 4) box arrays."""
+    return _checked_measure(pred, gt, kind)[0]
+
+
+def measure_grad(pred: np.ndarray, gt: np.ndarray, kind: str) -> np.ndarray:
+    """Elementwise measurement gradients wrt pred for paired (N, 4) arrays."""
+    return _checked_measure(pred, gt, kind)[1]

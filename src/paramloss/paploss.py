@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .apmetric import DetectionBatch, loc_scores
+# loc_scores and measure_grad stay importable from here, unused: the
+# benchmark's per-layer table (perfbench/workloads.py) wraps these bindings
+from .apmetric import DetectionBatch, _scatter_loc_scores, loc_scores  # noqa: F401
 from .errors import (
     ConstraintViolationError,
     EmptyPositiveError,
@@ -32,7 +34,7 @@ from .errors import (
     check_field_types,
     check_value_type,
 )
-from .geometry import MEASUREMENTS, measure_grad
+from .geometry import MEASUREMENTS, _measure_arrays, measure_grad  # noqa: F401
 from .piecewise import RatioParams, build, identity_params, on_unit_interval
 
 HANDCRAFTED_KINDS = ("sigmoid", "sqrt", "linear", "square")
@@ -40,7 +42,7 @@ HANDCRAFTED_KINDS = ("sigmoid", "sqrt", "linear", "square")
 
 @dataclass(frozen=True, eq=False)
 class AnalyticFn:
-    """Closed-form function on [0, 1] with the PiecewiseFn eval/slope contract."""
+    """Closed-form function on [0, 1] with the PiecewiseFn shape-function contract."""
 
     fn: object
     deriv: object
@@ -54,6 +56,14 @@ class AnalyticFn:
     def slope(self, x):
         return on_unit_interval(self.deriv, x)
 
+    def eval_with_slope(self, x, active):
+        def both(arr, mask):
+            slope = np.zeros_like(arr)
+            # deriv never sees an inactive entry, where it may diverge (sqrt at 0)
+            slope[mask] = self.deriv(arr[mask])
+            return self.fn(arr), slope
+        return on_unit_interval(both, x, active)
+
 
 @dataclass(frozen=True, eq=False)
 class StepFn:
@@ -65,13 +75,19 @@ class StepFn:
 
     threshold: float = 0.0
 
+    def _step(self, arr):
+        return (arr > self.threshold).astype(float)
+
     def eval(self, x):
-        return on_unit_interval(lambda arr: (arr > self.threshold).astype(float), x)
+        return on_unit_interval(self._step, x)
 
     __call__ = eval
 
     def slope(self, x):
         return on_unit_interval(np.zeros_like, x)
+
+    def eval_with_slope(self, x, active):
+        return on_unit_interval(lambda arr, _: (self._step(arr), np.zeros_like(arr)), x, active)
 
 
 def handcrafted_substitution(kind: str):
@@ -236,19 +252,25 @@ def resolve_functions(params: LossParams) -> tuple:
 
 @dataclass(eq=False)
 class LossCache:
-    """Intermediates reused by the backward pass; O(N^2) in batch size."""
+    """Intermediates reused by the backward pass; O(N^2) in batch size.
+
+    The masked slopes are the shape functions' slopes at d[i, j] = d_ji
+    (the normalized score differences) on the entries where the clip is not
+    saturated and j != i, and exactly 0.0 elsewhere.
+    """
 
     batch: DetectionBatch
     params: LossParams
     functions: tuple
     l: np.ndarray            # (N,) localization scores
-    d: np.ndarray            # (N, N) normalized score differences d[i, j] = d_ji
-    clip_active: np.ndarray  # (N, N) bool, clip not saturated and j != i
     f2d: np.ndarray          # (N, N) f2(d) with the diagonal zeroed
+    f2_slope: np.ndarray     # (N, N) f2's masked slope
+    f4_slope: object         # (N, N) f4's masked slope; None under blocking
     f3l: np.ndarray          # (N,)
     f5l: np.ndarray          # (N,)
     numer: np.ndarray        # (N,) n_i
     denom: np.ndarray        # (N,) m_i
+    measure_grads: np.ndarray  # (P, 4) measurement gradients of the positives
     n_pos: int
 
 
@@ -273,10 +295,10 @@ class LossResult:
 def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
     """Loss value plus the cache consumed by loss_backward.
 
-    functions overrides the five shape functions (anything with the
-    eval/slope contract); by default they are built from params. Raises
-    EmptyPositiveError when the batch has no positive prediction, so the
-    trainer can skip the step instead of averaging over an empty set.
+    functions overrides the five shape functions (anything with PiecewiseFn's
+    eval, slope and eval_with_slope); by default they are built from params.
+    Raises EmptyPositiveError when the batch has no positive prediction, so
+    the trainer can skip the step instead of averaging over an empty set.
     """
     if functions is None:
         functions = resolve_functions(params)
@@ -288,56 +310,64 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
     if n_pos == 0:
         raise EmptyPositiveError("loss requires at least one positive prediction")
 
-    l = loc_scores(batch, params.measurement)
+    # loc_scores without checking the boxes again (DetectionBatch has), and
+    # the measurement gradients from the same overlap pass
+    pos = batch.positive_mask
+    vals, measure_grads = _measure_arrays(batch.gt_boxes[batch.assignment[pos]],
+                                          batch.boxes[pos], params.measurement)
+    l = _scatter_loc_scores(batch, vals, params.measurement)
+
     s = batch.scores
-    raw = s[None, :] - s[:, None]  # raw[i, j] = s_j - s_i
-    d = (np.clip(raw, -1.0, 1.0) + 1.0) / 2.0
-    n = s.shape[0]
-    offdiag = ~np.eye(n, dtype=bool)
-    clip_active = (np.abs(raw) < 1.0) & offdiag
+    d = s[None, :] - s[:, None]  # raw s_j - s_i at [i, j], normalized in place
+    # d(d_ji)/ds is +-1/2 where the clip is not saturated and j != i, else 0
+    active = (d > -1.0) & (d < 1.0)
+    np.fill_diagonal(active, False)
+    np.clip(d, -1.0, 1.0, out=d)
+    d += 1.0
+    d /= 2.0
 
     f1l = f1.eval(l)
     f3l = f3.eval(l)
     f5l = f5.eval(l)
-    f2d = f2.eval(d) * offdiag
-    f4d = f4.eval(d) * offdiag
+    f2d, f2_slope = f2.eval_with_slope(d, active)
+    np.fill_diagonal(f2d, 0.0)
+    if params.block_denominator:
+        f4d, f4_slope = f4.eval(d), None
+    else:
+        f4d, f4_slope = f4.eval_with_slope(d, active)
+    np.fill_diagonal(f4d, 0.0)
 
     numer = f2d @ (1.0 - f3l)
     denom = 1.0 + f4d.sum(axis=1)
     value = -(f1l - (numer / denom) * f5l).sum() / n_pos
 
-    cache = LossCache(batch, params, functions, l, d, clip_active,
-                      f2d, f3l, f5l, numer, denom, n_pos)
+    cache = LossCache(batch, params, functions, l, f2d, f2_slope, f4_slope,
+                      f3l, f5l, numer, denom, measure_grads, n_pos)
     return float(value), cache
 
 
 def loss_backward(cache: LossCache):
     """Analytic gradients of the cached forward pass, under its parameters.
 
-    Returns (score_grads, box_grads). The denominator is differentiated only
-    when block_denominator is false; box gradients carry the lambda scale and
-    are exactly zero for negative predictions.
+    Returns (score_grads, box_grads) and leaves the cache as it was. The
+    denominator is differentiated only when block_denominator is false; box
+    gradients carry the lambda scale and are exactly zero for negative
+    predictions.
     """
     params = cache.params
-    f1, f2, f3, f4, f5 = cache.functions
+    f1, _, f3, _, f5 = cache.functions
     batch = cache.batch
     n_pos = cache.n_pos
-    l, d = cache.l, cache.d
-    active = cache.clip_active
+    l = cache.l
 
     g = cache.f5l / cache.denom  # per-i ratio weight f5(l_i) / m_i
 
-    # d(d_ji)/ds: +1/2 for s_j, -1/2 for s_i while the clip is not saturated.
-    # Slopes are evaluated only on active entries: at a saturated clip d is
-    # exactly 0 or 1 where some substitutions have unbounded slope.
-    w = np.zeros_like(d)
-    w[active] = f2.slope(d[active])
-    w *= (1.0 - cache.f3l)[None, :]
+    # the masked slopes already carry d(d_ji)/ds up to its sign and 1/2
+    w = cache.f2_slope * (1.0 - cache.f3l)[None, :]
     score_grads = (g @ w - g * w.sum(axis=1)) / (2.0 * n_pos)
     if not params.block_denominator:
         h = cache.f5l * cache.numer / cache.denom**2
-        v = np.zeros_like(d)
-        v[active] = f4.slope(d[active])
+        v = cache.f4_slope
         score_grads -= (h @ v - h * v.sum(axis=1)) / (2.0 * n_pos)
 
     # loss_forward builds no cache for a batch without positives
@@ -349,10 +379,8 @@ def loss_backward(cache: LossCache):
         + f3.slope(lp) * cross
     dl_dloss = -dsum_dl / n_pos
     rescale = 0.5 if params.measurement == "giou" else 1.0
-    mg = measure_grad(batch.boxes[pos], batch.gt_boxes[batch.assignment[pos]],
-                      params.measurement)
     lam = lambda_from_theta(params.theta_lambda)
-    box_grads[pos] = lam * (dl_dloss * rescale)[:, None] * mg
+    box_grads[pos] = lam * (dl_dloss * rescale)[:, None] * cache.measure_grads
     return score_grads, box_grads
 
 

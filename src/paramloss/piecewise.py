@@ -19,14 +19,17 @@ import numpy as np
 from .errors import ConstraintViolationError, DomainError, InvalidInputError
 
 
-def on_unit_interval(fn, x):
-    """fn applied to x, the eval/slope contract every shape function shares.
+def on_unit_interval(fn, x, active=None):
+    """fn applied to x, the contract every shape function shares.
 
     x is a scalar or an array of points in [0, 1]; a scalar or 0-d input
-    gives a float, an array input an array.
+    gives a float, an array input an array. With an active mask (bools of
+    x's shape), fn is called as fn(x, active) and returns a (value, slope)
+    pair, each a float for a scalar or 0-d input.
 
     Raises:
         DomainError: a point is not finite or lies outside [0, 1].
+        InvalidInputError: the active mask does not have x's shape.
     """
     arr = np.asarray(x, dtype=float)
     # one pass, which NaN and +-inf fail too; the message is worked out
@@ -35,8 +38,14 @@ def on_unit_interval(fn, x):
         if not np.all(np.isfinite(arr)):
             raise DomainError("evaluation point must be finite")
         raise DomainError("evaluation point outside [0, 1]")
-    out = fn(arr)
-    return float(out) if arr.ndim == 0 else out
+    if active is None:
+        out = fn(arr)
+        return float(out) if arr.ndim == 0 else out
+    active = np.asarray(active, dtype=bool)
+    if active.shape != arr.shape:
+        raise InvalidInputError(f"active mask has shape {active.shape}, points {arr.shape}")
+    value, slope = fn(arr, active)
+    return (float(value), float(slope)) if arr.ndim == 0 else (value, slope)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,21 +129,44 @@ class PiecewiseFn:
             idx += x >= knot
         return idx
 
+    def _value(self, arr: np.ndarray, keep_slope: bool):
+        """(eval at arr, the segment slopes at arr if keep_slope else None).
+
+        The value is (x - xs[k]) * slopes[k] + ys[k] for the segment k of x,
+        written into its buffer in place. take with mode="clip" fills a
+        buffer without copying through another one; idx never leaves the
+        segment range, so nothing is clipped.
+        """
+        idx = self._segment_index(arr)
+        value = np.empty(arr.shape)
+        slope = np.empty(arr.shape)
+        np.take(self.control_points[:, 0], idx, out=value, mode="clip")
+        np.subtract(arr, value, out=value)
+        np.take(self._slopes, idx, out=slope, mode="clip")
+        value *= slope
+        part = np.empty(arr.shape) if keep_slope else slope
+        np.take(self.control_points[:, 1], idx, out=part, mode="clip")
+        value += part
+        return value, slope if keep_slope else None
+
     def eval(self, x):
         """Evaluate at x (scalar or array); inputs must lie in [0, 1]."""
-        def value(arr):
-            idx = self._segment_index(arr)
-            xs = self.control_points[:, 0]
-            ys = self.control_points[:, 1]
-            # take, not fancy indexing: faster with a small index dtype
-            return ys.take(idx) + self._slopes.take(idx) * (arr - xs.take(idx))
-        return on_unit_interval(value, x)
+        return on_unit_interval(lambda arr: self._value(arr, False)[0], x)
 
     __call__ = eval
 
     def slope(self, x):
         """Segment slope at x under the half-open membership rule."""
         return on_unit_interval(lambda arr: self._slopes.take(self._segment_index(arr)), x)
+
+    def eval_with_slope(self, x, active):
+        """(eval(x), slope(x) on the active entries and exactly 0.0 elsewhere),
+        both from one segment count."""
+        def both(arr, mask):
+            value, slope = self._value(arr, True)
+            np.copyto(slope, 0.0, where=~mask)
+            return value, slope
+        return on_unit_interval(both, x, active)
 
     def ratios(self) -> RatioParams:
         """Recover the ratio parameterization of the interior points."""

@@ -1,7 +1,9 @@
 """The inner-loop fast path computes exactly what the validated path does.
 
 PiecewiseFn finds a point's segment by counting the interior knots at or
-below it; train_inner builds its shape functions once per training, updates
+below it, and eval_with_slope takes a function's value and its masked slope
+from one such count, which loss_forward keeps in place of the score
+differences; train_inner builds its shape functions once per training, updates
 one weight buffer in place and skips DetectionBatch's re-validation on every
 step. The detector and the overlap kernels treat a box as two (x, y) corner
 pairs; the references below write the same arithmetic out per coordinate.
@@ -9,19 +11,31 @@ Each test compares with a plain reference by exact equality, signed zeros
 included, because outputs are kept bit-identical.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from paramloss import geometry, paploss
-from paramloss.apmetric import DetectionBatch
-from paramloss.errors import ConstraintViolationError, EmptyPositiveError
+from paramloss.apmetric import DetectionBatch, loc_scores
+from paramloss.errors import (
+    ConstraintViolationError,
+    DomainError,
+    EmptyPositiveError,
+    InvalidInputError,
+)
 from paramloss.optim import Adam
 from paramloss.paploss import (
+    HANDCRAFTED_KINDS,
     LossParams,
+    StepFn,
     handcrafted_substitution,
+    lambda_from_theta,
     loss_backward,
     loss_forward,
+    resolve_functions,
 )
 from paramloss.piecewise import PiecewiseFn, RatioParams
 from paramloss.search import sample_truncnorm
@@ -77,6 +91,59 @@ def _assert_same_bits(actual, expected):
     assert actual.shape == expected.shape
     assert np.array_equal(actual, expected)
     assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+SEGMENT_COUNTS = [1, 2, 5, 128, 129, 200, 256, 257, 300]
+
+
+def _shape_functions():
+    """(id, function, points) for every kind of shape function the loss takes."""
+    cases = []
+    for M in SEGMENT_COUNTS:
+        rng = np.random.default_rng([M, 23])
+        fn = _random_fn(rng, M)
+        cases.append((f"piecewise-M{M}", fn, _probe_points(rng, fn)))
+    rng = np.random.default_rng(24)
+    points = np.concatenate([rng.uniform(0.0, 1.0, 500), [0.0, 0.25, 0.5, 1.0]])
+    for kind in HANDCRAFTED_KINDS:
+        cases.append((kind, handcrafted_substitution(kind), points))
+    for threshold in (0.0, 0.5):
+        cases.append((f"step-{threshold}", StepFn(threshold), points))
+    return cases
+
+
+@pytest.mark.parametrize("fn, x", [case[1:] for case in _shape_functions()],
+                         ids=[case[0] for case in _shape_functions()])
+def test_eval_with_slope_matches_eval_and_slope(fn, x):
+    rng = np.random.default_rng(x.size)
+    active = rng.uniform(size=x.shape) < 0.7
+    active[x == 0.0] = False  # sqrt's slope is unbounded there
+    expected_slope = np.zeros_like(x)
+    expected_slope[active] = fn.slope(x[active])
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        value, slope = fn.eval_with_slope(x, active)
+    _assert_same_bits(value, fn.eval(x))
+    _assert_same_bits(slope, expected_slope)
+    assert np.all(slope[~active] == 0.0) and not np.any(np.signbit(slope[~active]))
+    # 2-d, as the loss calls it
+    value2, slope2 = fn.eval_with_slope(x[:500].reshape(20, 25), active[:500].reshape(20, 25))
+    _assert_same_bits(value2, value[:500].reshape(20, 25))
+    _assert_same_bits(slope2, slope[:500].reshape(20, 25))
+    # a scalar or 0-d point gives floats, a 1-d point an array
+    for point in (0.25, np.float64(1.0), np.asarray(0.5)):
+        for on in (True, False, np.asarray(True)):
+            pair = fn.eval_with_slope(point, on)
+            assert all(type(v) is float for v in pair)
+            assert pair == (fn.eval(point), fn.slope(point) if on else 0.0)
+    value1, slope1 = fn.eval_with_slope(np.array([0.75]), np.array([True]))
+    assert value1.shape == slope1.shape == (1,)
+    # the eval/slope domain errors, and a mask of another shape
+    for bad, message in ((1.5, "outside [0, 1]"), (-0.1, "outside [0, 1]"),
+                         (np.nan, "must be finite"), (np.array([0.5, np.inf]), "must be finite")):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fn.eval_with_slope(bad, np.ones(np.shape(bad), dtype=bool))
+    with pytest.raises(InvalidInputError, match="active mask has shape"):
+        fn.eval_with_slope(x, active[:-1])
 
 
 def _reference_decode(model, features, anchors):
@@ -290,6 +357,102 @@ def test_train_inner_matches_validated_reference(params, functions):
     model = train_inner(params, train, STEPS, seed=11, functions=functions)
     reference = _reference_train(params, train, STEPS, seed=11, functions=functions)
     assert np.array_equal(model.to_vector(), reference)
+
+
+def _reference_loss(batch, params, functions=None):
+    """loss_forward and loss_backward as formulas on the whole score-difference
+    array: the clip mask and the zeroed diagonal as products, slopes gathered
+    at the active entries and scattered back, and the positives' boxes
+    measured by loc_scores and measured again by measure_grad."""
+    f1, f2, f3, f4, f5 = functions or resolve_functions(params)
+    n_pos = batch.n_positive
+    l = loc_scores(batch, params.measurement)
+    s = batch.scores
+    raw = s[None, :] - s[:, None]
+    d = (np.clip(raw, -1.0, 1.0) + 1.0) / 2.0
+    offdiag = ~np.eye(s.shape[0], dtype=bool)
+    active = (np.abs(raw) < 1.0) & offdiag
+    f1l, f3l, f5l = f1.eval(l), f3.eval(l), f5.eval(l)
+    f2d = f2.eval(d) * offdiag
+    f4d = f4.eval(d) * offdiag
+    numer = f2d @ (1.0 - f3l)
+    denom = 1.0 + f4d.sum(axis=1)
+    value = -(f1l - (numer / denom) * f5l).sum() / n_pos
+
+    g = f5l / denom
+    w = np.zeros_like(d)
+    w[active] = f2.slope(d[active])
+    w *= (1.0 - f3l)[None, :]
+    score_grads = (g @ w - g * w.sum(axis=1)) / (2.0 * n_pos)
+    if not params.block_denominator:
+        h = f5l * numer / denom**2
+        v = np.zeros_like(d)
+        v[active] = f4.slope(d[active])
+        score_grads -= (h @ v - h * v.sum(axis=1)) / (2.0 * n_pos)
+    pos = batch.positive_mask
+    lp = l[pos]
+    cross = (g @ f2d)[pos]
+    dsum_dl = f1.slope(lp) - (numer / denom)[pos] * f5.slope(lp) + f3.slope(lp) * cross
+    rescale = 0.5 if params.measurement == "giou" else 1.0
+    mg = geometry.measure_grad(batch.boxes[pos], batch.gt_boxes[batch.assignment[pos]],
+                               params.measurement)
+    box_grads = np.zeros_like(batch.boxes)
+    box_grads[pos] = (lambda_from_theta(params.theta_lambda)
+                      * (-dsum_dl / n_pos * rescale)[:, None] * mg)
+    return float(value), score_grads, box_grads
+
+
+def _saturated_batch(seed):
+    """A detector batch whose scores include exact 0s and 1s, so some
+    normalized score differences are exactly 0 and 1 (a saturated clip)."""
+    train, _ = generate(SMALL)
+    feats, anchors, gts, assignment = _merge_scenes(train[:8])
+    base = ToyModel.init(feats.shape[1], HIDDEN, seed)
+    rng = np.random.default_rng([seed, 41])
+    # small weights keep every positive overlapping its ground truth, where
+    # sqrt's slope at the localization score is bounded
+    model = base.with_vector(base.to_vector() + rng.normal(0.0, 0.05, base.to_vector().size))
+    boxes, scores, _ = _model_apply(model, feats, anchors)
+    scores[rng.choice(scores.size, 10, replace=False)] = [0.0] * 5 + [1.0] * 5
+    batch = DetectionBatch(boxes, scores, gts, assignment)
+    assert batch.n_positive > 0
+    assert np.all(geometry.measure(boxes[batch.positive_mask],
+                                   gts[assignment[batch.positive_mask]], "iou") > 0.0)
+    return batch
+
+
+OVERRIDES = {"sampled": None,
+             "sigmoid": tuple(handcrafted_substitution("sigmoid") for _ in range(5)),
+             "sqrt": tuple(handcrafted_substitution("sqrt") for _ in range(5))}
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["blocked", "unblocked"])
+@pytest.mark.parametrize("measurement", ["giou", "iou", "l1"])
+@pytest.mark.parametrize("override", sorted(OVERRIDES))
+def test_loss_matches_whole_array_reference(override, measurement, block):
+    params = _sampled_params(7, measurement=measurement, block_denominator=block)
+    functions = OVERRIDES[override]
+    batch = _saturated_batch(3)
+    value, cache = loss_forward(batch, params, functions)
+    score_grads, box_grads = loss_backward(cache)
+    ref_value, ref_score_grads, ref_box_grads = _reference_loss(batch, params, functions)
+    assert value == ref_value
+    _assert_same_bits(score_grads, ref_score_grads)
+    _assert_same_bits(box_grads, ref_box_grads)
+
+
+def test_sqrt_slope_never_sees_a_saturated_clip():
+    batch = _saturated_batch(5)
+    raw = batch.scores[None, :] - batch.scores[:, None]
+    assert np.any(raw == 1.0) and np.any(raw == -1.0)  # d is exactly 1 and 0
+    sqrt = tuple(handcrafted_substitution("sqrt") for _ in range(5))
+    params = LossParams.identity(block_denominator=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, cache = loss_forward(batch, params, sqrt)
+        score_grads, box_grads = loss_backward(cache)
+    assert np.all(np.isfinite(score_grads)) and np.all(np.isfinite(box_grads))
+    assert np.any(score_grads != 0.0)
 
 
 def test_train_inner_builds_shape_functions_once(monkeypatch):

@@ -2,6 +2,7 @@
 differences, parameter plumbing, handcrafted baselines."""
 
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from paramloss.paploss import (
     StepFn,
     handcrafted_substitution,
     lambda_from_theta,
+    loss_backward,
     loss_forward,
     loss_with_grads,
     normalize_score_diff,
@@ -472,6 +474,32 @@ class TestBackward:
             # the localization branch never sees the denominator's gradient
             assert np.array_equal(blocked.box_grads, free.box_grads)
         assert hits > 0
+
+    @pytest.mark.parametrize("block", [True, False], ids=["blocked", "unblocked"])
+    def test_backward_leaves_its_cache_unchanged(self, block):
+        rng = np.random.default_rng(431)
+        batch = random_batch(rng)
+        while batch.n_positive == 0 or len(batch.scores) < 8:
+            batch = random_batch(rng)
+        _, cache = loss_forward(batch, random_loss_params(rng, block=block))
+        # some clipped and some unclipped pairs, with positives among the j
+        assert np.any(cache.f2_slope[:, batch.positive_mask] > 0.0)
+        assert not np.all(cache.f2_slope[~np.eye(len(batch.scores), dtype=bool)] > 0.0)
+
+        def arrays():
+            named = [(f.name, getattr(cache, f.name)) for f in fields(cache)]
+            named += vars(cache.batch).items()
+            return {k: v.copy() for k, v in named if isinstance(v, np.ndarray)}
+
+        before = arrays()
+        first = loss_backward(cache)
+        second = loss_backward(cache)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+        after = arrays()
+        assert after.keys() == before.keys()
+        for name in before:
+            assert np.array_equal(after[name], before[name]), name
 
     def test_result_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):

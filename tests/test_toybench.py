@@ -280,9 +280,11 @@ def _kink_margins_ok(raw, loss_cache, params, margin=1e-3):
     for key in ("dw", "dh"):
         if np.min(np.abs(np.abs(raw[key]) - 4.0)) < margin:
             return False
-    # clip saturation of normalized score differences
-    off = ~np.eye(len(loss_cache.d), dtype=bool)
-    d_off = loss_cache.d[off]
+    # clip saturation of normalized score differences, d[i, j] = d_ji as
+    # loss_forward computes it
+    s = loss_cache.batch.scores
+    d = (np.clip(s[None, :] - s[:, None], -1.0, 1.0) + 1.0) / 2.0
+    d_off = d[~np.eye(len(d), dtype=bool)]
     if np.min(np.abs(d_off)) < margin or np.min(np.abs(d_off - 1.0)) < margin:
         return False
     fns = resolve_functions(params)
