@@ -12,6 +12,13 @@ classification-score difference. Substituting the exact step function back
 in recovers the AP value itself, which is the reduction oracle the tests
 lean on.
 
+The outer sum runs over the positives alone: each positive is ranked
+against the whole batch. That equals the sum over all N predictions,
+because every shape function is pinned at f(0) = 0 and a negative has
+l_i = 0, so its term f1(0) - f5(0) * (...) is exactly 0 and so is its
+weight in every gradient. The pairwise arrays are therefore (P, N), one row
+per positive, not (N, N).
+
 Two training details are part of the loss definition rather than the
 trainer: the denominator sum is treated as a constant under differentiation
 (gradient blocking, on by default), and gradients flowing to box coordinates
@@ -252,22 +259,28 @@ def resolve_functions(params: LossParams) -> tuple:
 
 @dataclass(eq=False)
 class LossCache:
-    """Intermediates reused by the backward pass; O(N^2) in batch size.
+    """Intermediates reused by the backward pass; O(P·N) for P positives.
 
-    The masked slopes are the shape functions' slopes at d[i, j] = d_ji
-    (the normalized score differences) on the entries where the clip is not
-    saturated and j != i, and exactly 0.0 elsewhere.
+    Row k of each (P, N) array belongs to the k-th positive i = rows[k]. The
+    masked slopes of f2 and f4 are their slopes at d_ji on the entries where
+    the clip is not saturated and j != i, and exactly 0.0 elsewhere. The
+    masked slopes of f1, f3 and f5 are their slopes at l on the entries with
+    l > 0, and exactly 0.0 elsewhere; there the measurement gradient is 0.
+    The (N,) vectors hold numer 0 and denom 1 at the negatives.
     """
 
     batch: DetectionBatch
     params: LossParams
-    functions: tuple
     l: np.ndarray            # (N,) localization scores
-    f2d: np.ndarray          # (N, N) f2(d) with the diagonal zeroed
-    f2_slope: np.ndarray     # (N, N) f2's masked slope
-    f4_slope: object         # (N, N) f4's masked slope; None under blocking
+    rows: np.ndarray         # (P,) indices of the positives
+    f2d: np.ndarray          # (P, N) f2(d) with the self-pairs zeroed
+    f2_slope: np.ndarray     # (P, N) f2's masked slope
+    f4_slope: object         # (P, N) f4's masked slope; None under blocking
     f3l: np.ndarray          # (N,)
     f5l: np.ndarray          # (N,)
+    f1l_slope: np.ndarray    # (N,) f1's masked slope at l
+    f3l_slope: np.ndarray    # (N,) f3's masked slope at l
+    f5l_slope: np.ndarray    # (N,) f5's masked slope at l
     numer: np.ndarray        # (N,) n_i
     denom: np.ndarray        # (N,) m_i
     measure_grads: np.ndarray  # (P, 4) measurement gradients of the positives
@@ -296,9 +309,10 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
     """Loss value plus the cache consumed by loss_backward.
 
     functions overrides the five shape functions (anything with PiecewiseFn's
-    eval, slope and eval_with_slope); by default they are built from params.
-    Raises EmptyPositiveError when the batch has no positive prediction, so
-    the trainer can skip the step instead of averaging over an empty set.
+    eval and eval_with_slope, pinned at f(0) = 0); by default they are built
+    from params. Raises EmptyPositiveError when the batch has no positive
+    prediction, so the trainer can skip the step instead of averaging over
+    an empty set.
     """
     if functions is None:
         functions = resolve_functions(params)
@@ -312,38 +326,52 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
 
     # loc_scores without checking the boxes again (DetectionBatch has), and
     # the measurement gradients from the same overlap pass
-    pos = batch.positive_mask
-    vals, measure_grads = _measure_arrays(batch.gt_boxes[batch.assignment[pos]],
-                                          batch.boxes[pos], params.measurement)
+    rows = np.flatnonzero(batch.positive_mask)
+    vals, measure_grads = _measure_arrays(batch.gt_boxes[batch.assignment[rows]],
+                                          batch.boxes[rows], params.measurement)
     l = _scatter_loc_scores(batch, vals, params.measurement)
 
     s = batch.scores
-    d = s[None, :] - s[:, None]  # raw s_j - s_i at [i, j], normalized in place
+    self_pairs = (np.arange(n_pos), rows)
+    d = s[None, :] - s[rows, None]  # raw s_j - s_i at [k, j], i = rows[k]; normalized in place
     # d(d_ji)/ds is +-1/2 where the clip is not saturated and j != i, else 0
     active = (d > -1.0) & (d < 1.0)
-    np.fill_diagonal(active, False)
+    active[self_pairs] = False
     np.clip(d, -1.0, 1.0, out=d)
     d += 1.0
     d /= 2.0
 
-    f1l = f1.eval(l)
-    f3l = f3.eval(l)
-    f5l = f5.eval(l)
+    # a slope at l = 0 may diverge (sqrt), and the measurement gradient
+    # there is 0, so it is masked out
+    overlaps = l > 0.0
+    f1l, f1l_slope = f1.eval_with_slope(l, overlaps)
+    f3l, f3l_slope = f3.eval_with_slope(l, overlaps)
+    f5l, f5l_slope = f5.eval_with_slope(l, overlaps)
     f2d, f2_slope = f2.eval_with_slope(d, active)
-    np.fill_diagonal(f2d, 0.0)
+    f2d[self_pairs] = 0.0
     if params.block_denominator:
         f4d, f4_slope = f4.eval(d), None
     else:
         f4d, f4_slope = f4.eval_with_slope(d, active)
-    np.fill_diagonal(f4d, 0.0)
+    f4d[self_pairs] = 0.0
 
-    numer = f2d @ (1.0 - f3l)
-    denom = 1.0 + f4d.sum(axis=1)
-    value = -(f1l - (numer / denom) * f5l).sum() / n_pos
+    numer = np.zeros_like(l)
+    denom = np.ones_like(l)
+    numer[rows] = f2d @ (1.0 - f3l)
+    denom[rows] += f4d.sum(axis=1)
+    value = -(f1l[rows] - (numer[rows] / denom[rows]) * f5l[rows]).sum() / n_pos
 
-    cache = LossCache(batch, params, functions, l, f2d, f2_slope, f4_slope,
-                      f3l, f5l, numer, denom, measure_grads, n_pos)
+    cache = LossCache(batch, params, l, rows, f2d, f2_slope, f4_slope,
+                      f3l, f5l, f1l_slope, f3l_slope, f5l_slope,
+                      numer, denom, measure_grads, n_pos)
     return float(value), cache
+
+
+def _ranked_grad(r, w, rows):
+    """Gradient wrt s of sum_k r_k sum_j w[k, j] (s_j - s_i), i = rows[k]."""
+    out = r @ w
+    out[rows] -= r * w.sum(axis=1)
+    return out
 
 
 def loss_backward(cache: LossCache):
@@ -355,32 +383,29 @@ def loss_backward(cache: LossCache):
     predictions.
     """
     params = cache.params
-    f1, _, f3, _, f5 = cache.functions
-    batch = cache.batch
+    rows = cache.rows
     n_pos = cache.n_pos
-    l = cache.l
 
-    g = cache.f5l / cache.denom  # per-i ratio weight f5(l_i) / m_i
+    numer, denom = cache.numer[rows], cache.denom[rows]
+    f5l = cache.f5l[rows]
+    g = f5l / denom  # per-positive ratio weight f5(l_i) / m_i
 
     # the masked slopes already carry d(d_ji)/ds up to its sign and 1/2
     w = cache.f2_slope * (1.0 - cache.f3l)[None, :]
-    score_grads = (g @ w - g * w.sum(axis=1)) / (2.0 * n_pos)
+    score_grads = _ranked_grad(g, w, rows) / (2.0 * n_pos)
     if not params.block_denominator:
-        h = cache.f5l * cache.numer / cache.denom**2
-        v = cache.f4_slope
-        score_grads -= (h @ v - h * v.sum(axis=1)) / (2.0 * n_pos)
+        h = f5l * numer / denom**2
+        score_grads -= _ranked_grad(h, cache.f4_slope, rows) / (2.0 * n_pos)
 
     # loss_forward builds no cache for a batch without positives
-    box_grads = np.zeros_like(batch.boxes)
-    pos = batch.positive_mask
-    lp = l[pos]
-    cross = (g @ cache.f2d)[pos]  # sum_{i != k} g_i f2(d_ki), diagonal already zero
-    dsum_dl = f1.slope(lp) - (cache.numer / cache.denom)[pos] * f5.slope(lp) \
-        + f3.slope(lp) * cross
+    box_grads = np.zeros_like(cache.batch.boxes)
+    cross = (g @ cache.f2d)[rows]  # sum_{i != k} g_i f2(d_ki), self-pairs already zero
+    dsum_dl = cache.f1l_slope[rows] - (numer / denom) * cache.f5l_slope[rows] \
+        + cache.f3l_slope[rows] * cross
     dl_dloss = -dsum_dl / n_pos
     rescale = 0.5 if params.measurement == "giou" else 1.0
     lam = lambda_from_theta(params.theta_lambda)
-    box_grads[pos] = lam * (dl_dloss * rescale)[:, None] * cache.measure_grads
+    box_grads[rows] = lam * (dl_dloss * rescale)[:, None] * cache.measure_grads
     return score_grads, box_grads
 
 

@@ -8,7 +8,10 @@ one weight buffer in place and skips DetectionBatch's re-validation on every
 step. The detector and the overlap kernels treat a box as two (x, y) corner
 pairs; the references below write the same arithmetic out per coordinate.
 Each test compares with a plain reference by exact equality, signed zeros
-included, because outputs are kept bit-identical.
+included, because outputs are kept bit-identical. The loss ranks each
+positive against the batch on (P, N) arrays; it is also compared, within
+rounding, with the all-rows (N, N) formula, whose negative rows add exact
+zeros.
 """
 
 import re
@@ -35,6 +38,7 @@ from paramloss.paploss import (
     lambda_from_theta,
     loss_backward,
     loss_forward,
+    loss_with_grads,
     resolve_functions,
 )
 from paramloss.piecewise import PiecewiseFn, RatioParams
@@ -360,10 +364,61 @@ def test_train_inner_matches_validated_reference(params, functions):
 
 
 def _reference_loss(batch, params, functions=None):
-    """loss_forward and loss_backward as formulas on the whole score-difference
-    array: the clip mask and the zeroed diagonal as products, slopes gathered
-    at the active entries and scattered back, and the positives' boxes
-    measured by loc_scores and measured again by measure_grad."""
+    """loss_forward and loss_backward as formulas on the (P, N) score-difference
+    array of the positive rows: the clip mask and the zeroed self-pairs as
+    products, slopes gathered at the active entries and scattered back, and
+    the positives' boxes measured by loc_scores and measured again by
+    measure_grad."""
+    f1, f2, f3, f4, f5 = functions or resolve_functions(params)
+    n_pos = batch.n_positive
+    pos = batch.positive_mask
+    rows = np.flatnonzero(pos)
+    l = loc_scores(batch, params.measurement)
+    s = batch.scores
+    raw = s[None, :] - s[rows, None]
+    d = (np.clip(raw, -1.0, 1.0) + 1.0) / 2.0
+    other = np.ones(raw.shape, dtype=bool)
+    other[np.arange(n_pos), rows] = False
+    active = (np.abs(raw) < 1.0) & other
+    f1l, f3l, f5l = f1.eval(l), f3.eval(l), f5.eval(l)
+    f2d = f2.eval(d) * other
+    f4d = f4.eval(d) * other
+    numer = f2d @ (1.0 - f3l)
+    denom = 1.0 + f4d.sum(axis=1)
+    value = -(f1l[pos] - (numer / denom) * f5l[pos]).sum() / n_pos
+
+    def scattered(values, mask, fn):
+        out = np.zeros_like(values)
+        out[mask] = fn.slope(values[mask])
+        return out
+
+    def ranked(r, w):
+        full = np.zeros_like(s)
+        full[pos] = r * w.sum(axis=1)
+        return r @ w - full
+
+    g = f5l[pos] / denom
+    w = scattered(d, active, f2) * (1.0 - f3l)[None, :]
+    score_grads = ranked(g, w) / (2.0 * n_pos)
+    if not params.block_denominator:
+        h = f5l[pos] * numer / denom**2
+        score_grads -= ranked(h, scattered(d, active, f4)) / (2.0 * n_pos)
+    lp = l[pos]
+    cross = (g @ f2d)[pos]
+    dsum_dl = (scattered(lp, lp > 0.0, f1) - (numer / denom) * scattered(lp, lp > 0.0, f5)
+               + scattered(lp, lp > 0.0, f3) * cross)
+    rescale = 0.5 if params.measurement == "giou" else 1.0
+    mg = geometry.measure_grad(batch.boxes[pos], batch.gt_boxes[batch.assignment[pos]],
+                               params.measurement)
+    box_grads = np.zeros_like(batch.boxes)
+    box_grads[pos] = (lambda_from_theta(params.theta_lambda)
+                      * (-dsum_dl / n_pos * rescale)[:, None] * mg)
+    return float(value), score_grads, box_grads
+
+
+def _all_rows_reference_loss(batch, params, functions=None):
+    """The loss as formulas on the whole (N, N) score-difference array: the
+    outer sum over all N predictions, with negatives weighted by f5(0) = 0."""
     f1, f2, f3, f4, f5 = functions or resolve_functions(params)
     n_pos = batch.n_positive
     l = loc_scores(batch, params.measurement)
@@ -410,7 +465,8 @@ def _saturated_batch(seed):
     base = ToyModel.init(feats.shape[1], HIDDEN, seed)
     rng = np.random.default_rng([seed, 41])
     # small weights keep every positive overlapping its ground truth, where
-    # sqrt's slope at the localization score is bounded
+    # sqrt's slope at the localization score is bounded even unmasked, as
+    # the all-rows formula takes it
     model = base.with_vector(base.to_vector() + rng.normal(0.0, 0.05, base.to_vector().size))
     boxes, scores, _ = _model_apply(model, feats, anchors)
     scores[rng.choice(scores.size, 10, replace=False)] = [0.0] * 5 + [1.0] * 5
@@ -421,24 +477,66 @@ def _saturated_batch(seed):
     return batch
 
 
+# the exact Heaviside hooks: the step sits at 0 for localization inputs and
+# at 0.5 for normalized score differences
 OVERRIDES = {"sampled": None,
              "sigmoid": tuple(handcrafted_substitution("sigmoid") for _ in range(5)),
-             "sqrt": tuple(handcrafted_substitution("sqrt") for _ in range(5))}
+             "sqrt": tuple(handcrafted_substitution("sqrt") for _ in range(5)),
+             "step": (StepFn(0.0), StepFn(0.5), StepFn(0.0), StepFn(0.5), StepFn(0.0))}
+
+loss_cases = pytest.mark.parametrize("override, measurement, block", [
+    (override, measurement, block)
+    for override in sorted(OVERRIDES) for measurement in ("giou", "iou", "l1")
+    for block in (True, False)
+], ids=lambda v: {True: "blocked", False: "unblocked"}.get(v, v))
 
 
-@pytest.mark.parametrize("block", [True, False], ids=["blocked", "unblocked"])
-@pytest.mark.parametrize("measurement", ["giou", "iou", "l1"])
-@pytest.mark.parametrize("override", sorted(OVERRIDES))
+def _loss(batch, params, functions):
+    value, cache = loss_forward(batch, params, functions)
+    return (value, *loss_backward(cache))
+
+
+@loss_cases
 def test_loss_matches_whole_array_reference(override, measurement, block):
     params = _sampled_params(7, measurement=measurement, block_denominator=block)
     functions = OVERRIDES[override]
     batch = _saturated_batch(3)
-    value, cache = loss_forward(batch, params, functions)
-    score_grads, box_grads = loss_backward(cache)
+    value, score_grads, box_grads = _loss(batch, params, functions)
     ref_value, ref_score_grads, ref_box_grads = _reference_loss(batch, params, functions)
     assert value == ref_value
     _assert_same_bits(score_grads, ref_score_grads)
     _assert_same_bits(box_grads, ref_box_grads)
+
+
+@loss_cases
+def test_loss_matches_all_rows_formula(override, measurement, block):
+    # summing over the positive rows rounds differently from summing over
+    # all N rows, where the negatives add exact zeros
+    params = _sampled_params(7, measurement=measurement, block_denominator=block)
+    functions = OVERRIDES[override]
+    batch = _saturated_batch(3)
+    got = _loss(batch, params, functions)
+    for actual, expected in zip(got, _all_rows_reference_loss(batch, params, functions)):
+        assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["blocked", "unblocked"])
+def test_cache_holds_positive_rows(block):
+    batch = _saturated_batch(3)
+    n, p = batch.scores.size, batch.n_positive
+    assert 0 < p < n
+    _, cache = loss_forward(batch, _sampled_params(7, block_denominator=block))
+    assert np.array_equal(cache.rows, np.flatnonzero(batch.positive_mask))
+    matrices = [cache.f2d, cache.f2_slope] + ([] if block else [cache.f4_slope])
+    assert all(m.shape == (p, n) for m in matrices)
+    assert block == (cache.f4_slope is None)
+    assert cache.measure_grads.shape == (p, 4)
+    for vec in (cache.l, cache.f3l, cache.f5l, cache.f1l_slope, cache.f3l_slope,
+                cache.f5l_slope, cache.numer, cache.denom):
+        assert vec.shape == (n,)
+    neg = ~batch.positive_mask
+    assert np.all(cache.numer[neg] == 0.0) and np.all(cache.denom[neg] == 1.0)
+    assert np.all(cache.numer[~neg] > 0.0) and np.all(cache.denom[~neg] > 1.0)
 
 
 def test_sqrt_slope_never_sees_a_saturated_clip():
@@ -453,6 +551,26 @@ def test_sqrt_slope_never_sees_a_saturated_clip():
         score_grads, box_grads = loss_backward(cache)
     assert np.all(np.isfinite(score_grads)) and np.all(np.isfinite(box_grads))
     assert np.any(score_grads != 0.0)
+
+
+@pytest.mark.parametrize("measurement", ["iou", "l1"])
+def test_sqrt_slope_never_sees_a_disjoint_positive(measurement):
+    # a positive moved off its ground truth has l = 0, where sqrt's slope is
+    # unbounded; its measurement gradient is exactly 0
+    good = _saturated_batch(3)
+    k = np.flatnonzero(good.positive_mask)[0]
+    boxes = good.boxes.copy()
+    boxes[k] += 5.0
+    batch = DetectionBatch(boxes, good.scores, good.gt_boxes, good.assignment)
+    l = loc_scores(batch, measurement)
+    assert l[k] == 0.0 and np.count_nonzero(l[batch.positive_mask]) == batch.n_positive - 1
+    sqrt = tuple(handcrafted_substitution("sqrt") for _ in range(5))
+    for block in (True, False):
+        params = LossParams.identity(measurement=measurement, block_denominator=block)
+        # LossResult rejects a NaN or inf value or gradient
+        result = loss_with_grads(batch, params, sqrt)
+        assert np.all(result.box_grads[k] == 0.0)
+        assert np.any(result.box_grads[batch.positive_mask] != 0.0)
 
 
 def test_train_inner_builds_shape_functions_once(monkeypatch):

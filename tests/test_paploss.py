@@ -482,9 +482,12 @@ class TestBackward:
         while batch.n_positive == 0 or len(batch.scores) < 8:
             batch = random_batch(rng)
         _, cache = loss_forward(batch, random_loss_params(rng, block=block))
-        # some clipped and some unclipped pairs, with positives among the j
+        # some clipped and some unclipped pairs, with positives among the j;
+        # row k of the (P, N) slope ranks the positive rows[k] against all j
         assert np.any(cache.f2_slope[:, batch.positive_mask] > 0.0)
-        assert not np.all(cache.f2_slope[~np.eye(len(batch.scores), dtype=bool)] > 0.0)
+        other = np.ones(cache.f2_slope.shape, dtype=bool)
+        other[np.arange(batch.n_positive), np.flatnonzero(batch.positive_mask)] = False
+        assert not np.all(cache.f2_slope[other] > 0.0)
 
         def arrays():
             named = [(f.name, getattr(cache, f.name)) for f in fields(cache)]
