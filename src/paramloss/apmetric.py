@@ -188,19 +188,19 @@ def ap_pr_area(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> float:
     Precision is accumulated at every true positive and divided by the
     ground-truth count, then averaged over the thresholds.
     """
-    per_threshold = _pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds)
+    return _mean_in_order(_pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds))
+
+
+def _mean_in_order(values) -> float:
+    """Sum from left to right, then divide by the count."""
     total = 0.0
-    for value in per_threshold:  # in order: sum() is compensated on Python >= 3.12
+    for value in values:  # in order: sum() is compensated on Python >= 3.12
         total += value
-    return float(total / len(per_threshold))
+    return float(total / len(values))
 
 
-def _pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> list:
-    """ap_pr_area at each IoU threshold, all from one IoU matrix.
-
-    Shared with train-eval's per-threshold report so that it, too, builds
-    each scene's IoU matrix once.
-    """
+def _pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> np.ndarray:
+    """ap_pr_area at each IoU threshold: the one-scene case of _pr_area_stack."""
     gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
     if gt.shape[0] == 0:
         raise InvalidInputError("precision-recall AP needs at least one ground truth")
@@ -212,24 +212,45 @@ def _pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> 
     if iou_thresholds is None:
         iou_thresholds = COCO_THRESHOLDS
     if boxes.shape[0] == 0:
-        return [0.0] * len(iou_thresholds)
+        return np.zeros(len(iou_thresholds))
     validate_boxes(boxes)
+    return _pr_area_stack([_ranked_iou(boxes, s, gt)], iou_thresholds)[0]
 
-    order = np.argsort(-s, kind="stable")
-    mat = pairwise_iou(boxes[order], gt)
-    n_gt = gt.shape[0]
 
-    values = []
-    for thr in iou_thresholds:
-        matched = np.zeros(n_gt, dtype=bool)
-        tp = 0
-        precision_sum = 0.0
-        for pos_rank, row in enumerate(mat, start=1):
-            cand = row * ~matched
-            g = int(np.argmax(cand))
-            if cand[g] >= thr:
-                matched[g] = True
-                tp += 1
-                precision_sum += tp / pos_rank
-        values.append(precision_sum / n_gt)
-    return values
+def _ranked_iou(boxes: np.ndarray, scores: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """IoU matrix of validated boxes against their ground truths, rows in
+    descending score order (ties keep input order)."""
+    order = np.argsort(-scores, kind="stable")
+    return pairwise_iou(boxes[order], gt)
+
+
+def _pr_area_stack(ranked_ious, iou_thresholds) -> np.ndarray:
+    """PR-area AP of each scene at each threshold, as an (S, T) array.
+
+    ranked_ious holds one (R_s, G_s) IoU matrix per scene, rows in ranked
+    order and G_s >= 1; thresholds are positive. The matrices are padded to
+    (S, R, G) with IoU -1.0, which never reaches a threshold and never beats
+    a real IoU of 0, so every (scene, threshold) lane of the (S, T, G) state
+    runs the scalar greedy match with the same float operations in the same
+    order: argmax takes the first maximum, and precision is added at each
+    true positive only.
+    """
+    thr = np.asarray(iou_thresholds, dtype=float)
+    n_gt = np.array([m.shape[1] for m in ranked_ious])
+    iou = np.full((len(ranked_ious), max(m.shape[0] for m in ranked_ious), n_gt.max()), -1.0)
+    for scene, m in enumerate(ranked_ious):
+        iou[scene, :m.shape[0], :m.shape[1]] = m
+
+    lanes = (iou.shape[0], thr.size)
+    matched = np.zeros(lanes + (iou.shape[2],), dtype=bool)
+    columns = np.arange(iou.shape[2])
+    tp = np.zeros(lanes)
+    precision_sum = np.zeros(lanes)
+    for rank in range(iou.shape[1]):
+        cand = iou[:, rank, None, :] * ~matched
+        g = np.argmax(cand, axis=2)[..., None]
+        hit = np.take_along_axis(cand, g, axis=2)[..., 0] >= thr
+        matched |= (columns == g) & hit[..., None]
+        tp += hit
+        precision_sum += np.where(hit, tp / (rank + 1), 0.0)
+    return precision_sum / n_gt[:, None]

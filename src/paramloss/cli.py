@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .apmetric import COCO_THRESHOLDS, _pr_area_by_threshold
+from .apmetric import COCO_THRESHOLDS
 from .errors import ConfigError, ParamLossError, TrainingDivergedError
 from .paploss import (
     HANDCRAFTED_KINDS,
@@ -41,11 +41,11 @@ from .search import (
 )
 from .toybench import (
     DatasetConfig,
+    _reward_from,
+    _scene_threshold_ap,
     dataset_to_json_dict,
     generate,
     load_dataset,
-    model_forward,
-    reward,
     train_inner,
 )
 
@@ -179,12 +179,11 @@ def cmd_train_eval(args) -> int:
         print(f"training diverged at step {exc.step}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    batches = [model_forward(model, s) for s in eval_set]
-    by_scene = [_pr_area_by_threshold(b.boxes, b.scores, b.gt_boxes) for b in batches]
+    by_scene = _scene_threshold_ap(model, eval_set)
     per_threshold = {f"{thr:.2f}": float(np.mean(values))
-                     for thr, values in zip(COCO_THRESHOLDS, zip(*by_scene))}
+                     for thr, values in zip(COCO_THRESHOLDS, by_scene.T.tolist())}
     metrics = {
-        "reward": reward(model, eval_set),
+        "reward": _reward_from(by_scene),
         "per_threshold_ap": per_threshold,
         "source": source,
         "params": params.to_json_dict(),

@@ -32,9 +32,10 @@ def on_unit_interval(fn, x, active=None):
         InvalidInputError: the active mask does not have x's shape.
     """
     arr = np.asarray(x, dtype=float)
-    # one pass, which NaN and +-inf fail too; the message is worked out
-    # only on failure
-    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+    # two reductions and no temporary array; a NaN makes min() NaN and +-inf
+    # lands on a bound, so both fail too; the message is worked out only on
+    # failure
+    if not (arr.size == 0 or (arr.min() >= 0.0 and arr.max() <= 1.0)):
         if not np.all(np.isfinite(arr)):
             raise DomainError("evaluation point must be finite")
         raise DomainError("evaluation point outside [0, 1]")
@@ -124,10 +125,12 @@ class PiecewiseFn:
         return self.control_points.shape[0] - 1
 
     def _segment_index(self, x: np.ndarray) -> np.ndarray:
+        """Segment of each point, counted in the small dtype and returned as
+        intp once: take converts any other index dtype again on every call."""
         idx = np.zeros(x.shape, dtype=self._index_dtype)
         for knot in self.control_points[1:-1, 0]:
             idx += x >= knot
-        return idx
+        return idx.astype(np.intp)
 
     def _value(self, arr: np.ndarray, keep_slope: bool):
         """(eval at arr, the segment slopes at arr if keep_slope else None).

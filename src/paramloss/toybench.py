@@ -25,7 +25,18 @@ import numpy as np
 from scipy.special import expit
 
 from . import paploss
-from .apmetric import COCO_THRESHOLDS, DetectionBatch, ap_pr_area, assign
+from .apmetric import (
+    COCO_THRESHOLDS,
+    DetectionBatch,
+    _mean_in_order,
+    _pr_area_stack,
+    _ranked_iou,
+    assign,
+)
+
+# ap_pr_area stays importable from here, unused: the benchmark wraps this
+# binding
+from .apmetric import ap_pr_area  # noqa: F401
 from .errors import (
     ConfigError,
     EmptyPositiveError,
@@ -457,13 +468,26 @@ def reward(model: ToyModel, eval_scenes) -> float:
 
     Each scene's AP is averaged over COCO_THRESHOLDS (IoU 0.50:0.05:0.95).
     """
+    return _reward_from(_scene_threshold_ap(model, eval_scenes))
+
+
+def _reward_from(by_scene: np.ndarray) -> float:
+    """reward from the (S, T) per-scene, per-threshold AP: the threshold
+    mean of each scene, then the scene mean, each summed in order as
+    ap_pr_area sums, so the result equals the mean of per-scene ap_pr_area."""
+    return _mean_in_order([_mean_in_order(row) for row in by_scene.tolist()])
+
+
+def _scene_threshold_ap(model: ToyModel, eval_scenes) -> np.ndarray:
+    """(S, T) PR-area AP of the model per evaluation scene and COCO threshold,
+    from one greedy-matching pass over all scenes."""
     if not eval_scenes:
         raise InvalidInputError("reward needs a non-empty evaluation set")
-    total = 0.0
+    ranked = []
     for scene in eval_scenes:
         batch = model_forward(model, scene)
-        total += ap_pr_area(batch.boxes, batch.scores, batch.gt_boxes, COCO_THRESHOLDS)
-    return float(total / len(eval_scenes))
+        ranked.append(_ranked_iou(batch.boxes, batch.scores, batch.gt_boxes))
+    return _pr_area_stack(ranked, COCO_THRESHOLDS)
 
 
 def dataset_loss(model: ToyModel, params: LossParams, scenes) -> float:

@@ -6,6 +6,9 @@ import pytest
 from paramloss.apmetric import (
     COCO_THRESHOLDS,
     DetectionBatch,
+    _pr_area_by_threshold,
+    _pr_area_stack,
+    _ranked_iou,
     ap_pr_area,
     ap_ranked,
     ap_reformulated,
@@ -14,6 +17,7 @@ from paramloss.apmetric import (
     loc_scores,
 )
 from paramloss.errors import EmptyPositiveError, InvalidInputError
+from paramloss.geometry import pairwise_iou
 
 UNIT = np.array([0.0, 0.0, 1.0, 1.0])
 
@@ -241,3 +245,110 @@ class TestRankFormEqualsPrArea:
             lhs = ap_ranked(scores, labels)
             rhs = ap_pr_area(boxes, scores, gts, [0.5])
             assert abs(lhs - rhs) <= 1e-9
+
+
+def _reference_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds):
+    """The scalar greedy match, one threshold and one ranked prediction at a
+    time: the reference the stacked kernel must equal bit for bit."""
+    gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
+    boxes = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
+    s = np.asarray(scores, dtype=float).reshape(-1)
+    if boxes.shape[0] == 0:
+        return [0.0] * len(iou_thresholds)
+    order = np.argsort(-s, kind="stable")
+    mat = pairwise_iou(boxes[order], gt)
+    values = []
+    for thr in iou_thresholds:
+        matched = np.zeros(gt.shape[0], dtype=bool)
+        tp = 0
+        precision_sum = 0.0
+        for pos_rank, row in enumerate(mat, start=1):
+            cand = row * ~matched
+            g = int(np.argmax(cand))
+            if cand[g] >= thr:
+                matched[g] = True
+                tp += 1
+                precision_sum += tp / pos_rank
+        values.append(precision_sum / gt.shape[0])
+    return values
+
+
+def _random_scene(rng, jitter, max_pred=40):
+    """1-5 ground truths and 0-max_pred predictions jittered from them,
+    scores rounded to 0.1 so that ties occur; on every other call all
+    coordinates sit on a 1/8 grid, so that IoU values tie too."""
+    n_gt = int(rng.integers(1, 6))
+    lo = rng.uniform(0.0, 0.7, size=(n_gt, 2))
+    gts = np.hstack([lo, lo + rng.uniform(0.1, 0.5, size=(n_gt, 2))])
+    n = int(rng.integers(0, max_pred + 1))
+    boxes = gts[rng.integers(0, n_gt, size=n)] + rng.normal(0.0, jitter, size=(n, 4))
+    if rng.integers(2):
+        gts = np.round(gts * 8.0) / 8.0
+        gts[:, 2:] = np.maximum(gts[:, 2:], gts[:, :2] + 0.125)
+        boxes = np.round(boxes * 8.0) / 8.0
+        boxes[:, 2:] = np.maximum(boxes[:, 2:], boxes[:, :2] + 0.125)
+    else:
+        boxes[:, 2:] = np.maximum(boxes[:, 2:], boxes[:, :2] + 0.01)
+    return boxes, np.round(rng.uniform(size=n), 1), gts
+
+
+def _random_thresholds(rng):
+    if rng.integers(2):
+        return COCO_THRESHOLDS
+    return tuple(rng.uniform(0.01, 0.99, size=int(rng.integers(1, 13))))
+
+
+class TestPrAreaStack:
+    """The one greedy-matching pass over scenes x thresholds against the
+    scalar loop."""
+
+    @pytest.mark.parametrize("jitter", [0.02, 0.1, 0.3])
+    def test_one_scene_equals_scalar_loop(self, jitter):
+        rng = np.random.default_rng([241, int(jitter * 100)])
+        for _ in range(300):
+            boxes, scores, gts = _random_scene(rng, jitter)
+            thresholds = _random_thresholds(rng)
+            ref = _reference_by_threshold(boxes, scores, gts, thresholds)
+            got = _pr_area_by_threshold(boxes, scores, gts, thresholds)
+            assert got.tolist() == ref
+            total = 0.0
+            for value in ref:
+                total += value
+            assert ap_pr_area(boxes, scores, gts, thresholds) == total / len(ref)
+
+    def test_multi_scene_rows_equal_one_scene_calls(self):
+        rng = np.random.default_rng(243)
+        for _ in range(40):
+            ranked = []
+            for _ in range(int(rng.integers(1, 9))):
+                boxes, scores, gts = _random_scene(rng, [0.02, 0.1, 0.3][int(rng.integers(3))])
+                ranked.append(_ranked_iou(boxes, scores, gts))
+            thresholds = _random_thresholds(rng)
+            stacked = _pr_area_stack(ranked, thresholds)
+            assert stacked.shape == (len(ranked), len(thresholds))
+            for row, mat in zip(stacked, ranked):
+                assert row.tolist() == _pr_area_stack([mat], thresholds)[0].tolist()
+
+    def test_padding_never_hits(self):
+        # a one-prediction scene, perfectly matched, padded to the rank and
+        # ground-truth count of a larger scene: the padded rows and columns
+        # add no true positive, and a scene with no predictions scores 0
+        _, _, gts = _random_scene(np.random.default_rng(245), 0.1)
+        big = pairwise_iou(np.tile(gts, (4, 1)), gts)
+        small = pairwise_iou(np.array([UNIT]), np.array([UNIT]))
+        none = np.zeros((0, 2))
+        thresholds = np.linspace(0.01, 1.0, 12)
+        stacked = _pr_area_stack([big, small, none], thresholds)
+        assert stacked[1].tolist() == [1.0] * 12
+        assert stacked[2].tolist() == [0.0] * 12
+        assert stacked[0].tolist() == _pr_area_stack([big], thresholds)[0].tolist()
+
+    def test_iou_ties_take_the_first_ground_truth(self):
+        # the first prediction straddles both ground truths at IoU 1/3 each
+        # and takes the first; the second is an exact copy of that first
+        # ground truth and so finds nothing left at the threshold
+        gts = np.array([UNIT, shifted(1.0)])
+        boxes = np.array([shifted(0.5), UNIT])
+        got = ap_pr_area(boxes, [0.9, 0.8], gts, [0.3])
+        assert got == 0.5
+        assert got == _reference_by_threshold(boxes, [0.9, 0.8], gts, [0.3])[0]

@@ -83,7 +83,8 @@ def test_segment_index_matches_searchsorted(M):
     x = _probe_points(rng, fn)
     ref = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, M - 1)
     slopes = np.diff(ys) / np.diff(xs)
-    assert np.array_equal(fn._segment_index(x), ref)
+    index = fn._segment_index(x)
+    assert np.array_equal(index, ref) and index.dtype == np.intp
     assert np.array_equal(fn.eval(x), ys[ref] + slopes[ref] * (x - xs[ref]))
     assert np.array_equal(fn.slope(x), slopes[ref])
     for point, k in ((0.0, 0), (1.0, M - 1)):

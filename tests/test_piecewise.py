@@ -197,6 +197,28 @@ class TestShapeFunctionContract:
         with pytest.raises(DomainError, match=message):
             fn.eval(np.array([0.5, x]))
 
+    def test_domain_edges(self, fn):
+        empty = fn.eval(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        assert fn.eval(-0.0) == 0.0
+        assert fn.eval(np.array([-0.0, 1.0])).shape == (2,)
+        with pytest.raises(DomainError, match="outside"):
+            fn.eval(np.nextafter(1.0, 2.0))
+        with pytest.raises(DomainError, match="outside"):
+            fn.eval(np.array([0.5, np.nextafter(0.0, -1.0)]))
+        with pytest.raises(DomainError, match="finite"):
+            fn.eval(np.array(np.nan))
+        with pytest.raises(DomainError, match="finite"):
+            fn.slope(np.array(np.nan))
+
+    def test_one_nan_in_a_large_array(self, fn):
+        x = np.linspace(0.0, 1.0, 100_001)
+        x[54_321] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            fn.eval(x)
+        with pytest.raises(DomainError, match="finite"):
+            fn.eval_with_slope(x, x > 0.5)
+
     @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.array(0.3)],
                              ids=["float", "numpy-scalar", "0-d"])
     def test_scalar_input_gives_float(self, fn, x):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from paramloss.apmetric import DetectionBatch, assign
+from paramloss.apmetric import COCO_THRESHOLDS, DetectionBatch, ap_pr_area, assign
 from paramloss.errors import (
     ConfigError,
     InvalidInputError,
@@ -18,6 +18,8 @@ from paramloss.toybench import (
     ToyModel,
     _merge_scenes,
     _model_apply,
+    _reward_from,
+    _scene_threshold_ap,
     _weight_grads,
     dataset_from_json_dict,
     dataset_loss,
@@ -426,6 +428,44 @@ class TestReward:
                                                     features=6, noise=0.0, seed=13))
         model = ToyModel.init(6, hidden=4, seed=0)
         assert reward(model, train + eval_scenes) == 1.0
+
+    @pytest.mark.parametrize("steps", [0, 20], ids=["untrained", "trained"])
+    def test_equals_in_order_sum_of_scene_ap(self, steps):
+        # one matching pass over all scenes gives the per-scene ap_pr_area
+        # of each, added in scene order, to the last bit
+        train, eval_scenes = generate(DatasetConfig(scenes=200, g_max=4, anchors=16,
+                                                    features=6, noise=0.1, seed=17))
+        model = train_inner(LossParams.identity(), train, steps=steps, seed=2)
+        total = 0.0
+        for scene in eval_scenes:
+            batch = model_forward(model, scene)
+            total += ap_pr_area(batch.boxes, batch.scores, batch.gt_boxes, COCO_THRESHOLDS)
+        assert reward(model, eval_scenes) == total / len(eval_scenes)
+
+    def test_reward_from_sums_in_order(self):
+        # thresholds left to right within a scene, then scenes in order,
+        # as per-scene ap_pr_area and the reward loop over scenes add them;
+        # one scene at a time first, where the sum of all scenes would round
+        # a one-ulp difference in a scene mean away
+        by_scene = np.random.default_rng(19).uniform(size=(40, 10))
+        total = 0.0
+        for row in by_scene:
+            scene_total = 0.0
+            for value in row.tolist():
+                scene_total += value
+            assert _reward_from(row[None, :]) == scene_total / len(row)
+            total += scene_total / len(row)
+        assert _reward_from(by_scene) == total / len(by_scene)
+
+    def test_scene_threshold_ap_rows(self):
+        train, eval_scenes = generate(SMALL)
+        model = train_inner(LossParams.identity(), train, steps=20, seed=1)
+        by_scene = _scene_threshold_ap(model, eval_scenes)
+        assert by_scene.shape == (len(eval_scenes), len(COCO_THRESHOLDS))
+        for row, scene in zip(by_scene, eval_scenes):
+            batch = model_forward(model, scene)
+            assert row.tolist() == [ap_pr_area(batch.boxes, batch.scores, batch.gt_boxes, [thr])
+                                    for thr in COCO_THRESHOLDS]
 
 
 class TestMergeScenes:
