@@ -200,7 +200,11 @@ def _mean_in_order(values) -> float:
 
 
 def _pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> np.ndarray:
-    """ap_pr_area at each IoU threshold: the one-scene case of _pr_area_stack."""
+    """ap_pr_area at each IoU threshold: the one-scene case of _pr_area_stack.
+
+    Raises InvalidInputError unless the thresholds are a non-empty list of
+    finite values in (0, 1].
+    """
     gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
     if gt.shape[0] == 0:
         raise InvalidInputError("precision-recall AP needs at least one ground truth")
@@ -211,10 +215,14 @@ def _pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> 
         raise InvalidInputError("boxes and scores lengths differ")
     if iou_thresholds is None:
         iou_thresholds = COCO_THRESHOLDS
+    thr = np.asarray(iou_thresholds, dtype=float)
+    # at a threshold <= 0 a matched ground truth, masked to IoU 0, matches again
+    if not (thr.ndim == 1 and thr.size > 0 and np.all((thr > 0.0) & (thr <= 1.0))):
+        raise InvalidInputError("IoU thresholds must be a non-empty list of values in (0, 1]")
     if boxes.shape[0] == 0:
-        return np.zeros(len(iou_thresholds))
+        return np.zeros(thr.size)
     validate_boxes(boxes)
-    return _pr_area_stack([_ranked_iou(boxes, s, gt)], iou_thresholds)[0]
+    return _pr_area_stack([_ranked_iou(boxes, s, gt)], thr)[0]
 
 
 def _ranked_iou(boxes: np.ndarray, scores: np.ndarray, gt: np.ndarray) -> np.ndarray:

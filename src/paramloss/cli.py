@@ -46,6 +46,7 @@ from .toybench import (
     dataset_to_json_dict,
     generate,
     load_dataset,
+    read_json,
     train_inner,
 )
 
@@ -55,8 +56,21 @@ EXIT_CONFIG = 2
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object in a config or params file; ConfigError otherwise."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return data
+
+
+def _load_params(path):
+    """LossParams from a params file; ConfigError for a non-numeric or
+    ragged theta (a missing key raises InvalidInputError)."""
+    data = _load_json(path)
+    try:
+        return LossParams.from_json_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a loss parameter file: {exc!r}") from exc
 
 
 def _write_json(path, obj):
@@ -147,7 +161,7 @@ def _train_eval_params(args, config: SearchConfig):
         raise ConfigError(
             "exactly one of a params file or --substitution must be given")
     if args.params is not None:
-        params = LossParams.from_json_dict(_load_json(args.params))
+        params = _load_params(args.params)
         functions = None
         source = str(args.params)
     else:
@@ -204,7 +218,7 @@ def cmd_train_eval(args) -> int:
 
 
 def cmd_export_functions(args) -> int:
-    params = LossParams.from_json_dict(_load_json(args.params))
+    params = _load_params(args.params)
     functions = resolve_functions(params)
     out = _out_dir(args)
     grid = np.linspace(0.0, 1.0, 201)
@@ -222,14 +236,22 @@ def cmd_export_functions(args) -> int:
     return EXIT_OK
 
 
-def _read_history(path):
+def _history_curve(path):
+    """best_so_far_curve of a history.jsonl as a dict; ConfigError for a line
+    that is not a JSON object, or a sample record without its round."""
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        try:
+            history = [json.loads(line) for line in fh if line.strip()]
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not a search history: {exc}") from exc
+    if not all(isinstance(r, dict) and ("reward" not in r or "round" in r) for r in history):
+        raise ConfigError(f"{path} holds a line that is not a search record")
+    return dict(best_so_far_curve(history))
 
 
 def cmd_compare(args) -> int:
-    curve_a = dict(best_so_far_curve(_read_history(args.history_a)))
-    curve_b = dict(best_so_far_curve(_read_history(args.history_b)))
+    curve_a = _history_curve(args.history_a)
+    curve_b = _history_curve(args.history_b)
     rounds = sorted(set(curve_a) | set(curve_b))
     out = _out_dir(args)
     last_a, last_b = "", ""
@@ -302,8 +324,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParamLossError, FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (ParamLossError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

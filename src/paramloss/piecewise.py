@@ -171,6 +171,13 @@ class PiecewiseFn:
             return value, slope
         return on_unit_interval(both, x, active)
 
+    def pieces(self):
+        """(knots, slopes, intercepts): the M + 1 knot x coordinates, and for
+        segment k the affine form f(x) = intercepts[k] + slopes[k] * x that
+        holds on [knots[k], knots[k + 1])."""
+        pts = self.control_points
+        return pts[:, 0], self._slopes, pts[:-1, 1] - self._slopes * pts[:-1, 0]
+
     def ratios(self) -> RatioParams:
         """Recover the ratio parameterization of the interior points."""
         pts = self.control_points

@@ -242,9 +242,26 @@ def save_dataset(path, config: DatasetConfig, train, eval_scenes):
         json.dump(dataset_to_json_dict(config, train, eval_scenes), fh)
 
 
-def load_dataset(path):
+def read_json(path):
+    """The JSON value in the file at path; ConfigError if it is not JSON."""
     with open(path) as fh:
-        return dataset_from_json_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_dataset(path):
+    """(config, train, eval) from a dataset file.
+
+    Raises ConfigError for a file that is not JSON, lacks a key, or holds a
+    non-numeric or ragged array.
+    """
+    data = read_json(path)
+    try:
+        return dataset_from_json_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a dataset file: {exc!r}") from exc
 
 
 @dataclass(frozen=True, eq=False)

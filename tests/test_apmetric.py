@@ -193,6 +193,21 @@ class TestApPrArea:
     def test_empty_predictions(self):
         assert ap_pr_area(np.zeros((0, 4)), [], np.array([UNIT]), [0.5]) == 0.0
 
+    @pytest.mark.parametrize("thresholds", [[0.0], [-1.0], [float("nan")], [0.5, 1.5],
+                                            [float("inf")], []],
+                             ids=["zero", "negative", "nan", "above-one", "inf", "empty"])
+    def test_thresholds_outside_unit_interval_rejected(self, thresholds):
+        # at a threshold of 0, three copies of the ground truth all matched,
+        # for an AP of 3
+        boxes = np.stack([UNIT, UNIT, UNIT])
+        with pytest.raises(InvalidInputError, match="IoU thresholds"):
+            ap_pr_area(boxes, [0.9, 0.8, 0.7], np.array([UNIT]), thresholds)
+        with pytest.raises(InvalidInputError, match="IoU thresholds"):
+            ap_pr_area(np.zeros((0, 4)), [], np.array([UNIT]), thresholds)
+
+    def test_threshold_one_accepted(self):
+        assert ap_pr_area(np.array([UNIT]), [0.9], np.array([UNIT]), [1.0]) == 1.0
+
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(InvalidInputError):
             ap_pr_area(np.array([UNIT]), [0.9], np.zeros((0, 4)), [0.5])

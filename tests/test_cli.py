@@ -363,3 +363,72 @@ class TestCompare:
     def test_missing_file(self, tmp_path):
         assert main(["compare", str(tmp_path / "x.jsonl"), str(tmp_path / "y.jsonl"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+class TestInputErrors:
+    """A malformed file exits with the config code; an error inside the
+    program is not reported as one."""
+
+    def _broken_dataset(self, tmp_path, dataset_dir, edit):
+        data = json.loads((dataset_dir / "dataset.json").read_text())
+        edit(data)
+        path = tmp_path / "broken_dataset.json"
+        path.write_text(json.dumps(data))
+        config = tmp_path / "broken_config.json"
+        config.write_text(json.dumps(dict(TINY_SEARCH, dataset=str(path))))
+        return config
+
+    @pytest.mark.parametrize("text", ["{\"T\": 2,", "[1, 2]", "not json"],
+                             ids=["truncated", "list", "text"])
+    def test_malformed_config_exits_config(self, tmp_path, text):
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp_path / "gen")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("train"),
+        lambda d: d["train"][0].pop("anchors"),
+        lambda d: d["train"][0].__setitem__("features", [["a"] * 6] * 8),
+        lambda d: d["train"][0].__setitem__("gt_boxes", [[0.1, 0.1, 0.5, 0.5], [0.2]]),
+        lambda d: d.__setitem__("eval", 3),
+    ], ids=["no-train", "no-anchors", "non-numeric", "ragged", "not-a-list"])
+    def test_malformed_dataset_exits_config(self, tmp_path, dataset_dir, edit):
+        config = self._broken_dataset(tmp_path, dataset_dir, edit)
+        for command in (["search"], ["train-eval", "--substitution", "linear"]):
+            assert main([*command, "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("theta1", [[["a", 0.5]] * 4, [[0.5, 0.5], [0.5]] * 2],
+                             ids=["non-numeric", "ragged"])
+    def test_malformed_params_exits_config(self, tmp_path, dataset_dir, theta1):
+        params_path = tmp_path / "p.json"
+        params_path.write_text(json.dumps({**LossParams.identity().to_json_dict(),
+                                           "theta1": theta1}))
+        assert main(["export-functions", str(params_path),
+                     "--out", str(tmp_path / "exp")]) == EXIT_CONFIG
+        config = _search_config_file(tmp_path, dataset_dir)
+        assert main(["train-eval", str(params_path), "--config", str(config),
+                     "--out", str(tmp_path / "te")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ["{\"round\": 1, \"reward\":", "{\"reward\": 0.5}", "[1]"],
+                             ids=["truncated", "no-round", "not-an-object"])
+    def test_malformed_history_exits_config(self, tmp_path, line):
+        good = tmp_path / "a.jsonl"
+        good.write_text(json.dumps({"round": 1, "reward": 0.2}) + "\n")
+        bad = tmp_path / "b.jsonl"
+        bad.write_text(line + "\n")
+        assert main(["compare", str(good), str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_internal_error_is_not_a_config_error(self, tmp_path, dataset_dir, monkeypatch,
+                                                  error):
+        def broken(*args, **kwargs):
+            raise error("internal")
+
+        monkeypatch.setattr(paramloss.cli, "train_inner", broken)
+        config = _search_config_file(tmp_path, dataset_dir)
+        # uncaught, it exits 1 with a traceback
+        with pytest.raises(error, match="internal"):
+            main(["train-eval", "--substitution", "linear", "--config", str(config),
+                  "--out", str(tmp_path)])

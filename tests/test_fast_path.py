@@ -11,11 +11,14 @@ Each test compares with a plain reference by exact equality, signed zeros
 included, because outputs are kept bit-identical. The loss ranks each
 positive against the batch on (P, N) arrays; it is also compared, within
 rounding, with the all-rows (N, N) formula, whose negative rows add exact
-zeros.
+zeros. From N_SORTED predictions up, piecewise f2 and f4 take the loss's
+pair sums from sorted scores and prefix sums instead, which is compared with
+the (P, N) reference within rounding and with finite differences.
 """
 
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from paramloss.errors import (
 from paramloss.optim import Adam
 from paramloss.paploss import (
     HANDCRAFTED_KINDS,
+    N_SORTED,
     LossParams,
     StepFn,
     handcrafted_substitution,
@@ -614,3 +618,153 @@ def test_unbuildable_params_still_raise_constraint_violation():
                           ToyModel.init(train[0].features.shape[1], HIDDEN, 0).to_vector())
     with pytest.raises(ConstraintViolationError):
         train_inner(params, train, STEPS, seed=0)
+
+
+# 64 training scenes of 16 anchors: batches of 16 to 64 scenes hold 256 to
+# 1024 predictions, all at or above N_SORTED
+WIDE = DatasetConfig(scenes=80, g_max=3, anchors=16, features=6, noise=0.05, seed=9)
+SCORE_KINDS = ("detector", "ties", "zero-one", "zero-two")
+
+
+def _wide_batch(seed, scenes, scores_kind, size=None):
+    """A detector batch of the first `scenes` WIDE scenes, cut to `size`
+    predictions, with its scores as the detector gives them, on a grid of
+    nine values (many exact ties), a third set to exactly 0 or 1, or drawn
+    from (0, 2)."""
+    train, _ = generate(WIDE)
+    feats, anchors, gts, assignment = _merge_scenes(train[:scenes])
+    base = ToyModel.init(feats.shape[1], HIDDEN, seed)
+    rng = np.random.default_rng([seed, 43])
+    model = base.with_vector(base.to_vector() + rng.normal(0.0, 0.3, base.to_vector().size))
+    boxes, scores, _ = _model_apply(model, feats, anchors)
+    if scores_kind == "ties":
+        scores = np.round(scores * 8.0) / 8.0
+    elif scores_kind == "zero-one":
+        picked = rng.choice(scores.size, scores.size // 3, replace=False)
+        scores[picked] = rng.choice([0.0, 1.0], picked.size)
+    elif scores_kind == "zero-two":
+        scores = rng.uniform(0.0, 2.0, scores.size)
+    size = size or scores.size
+    return DetectionBatch(boxes[:size], scores[:size], gts, assignment[:size])
+
+
+def _value_scale(cache):
+    """The largest per-positive term of the loss, a mean that may cancel
+    to far below its terms: the value rounds relative to this."""
+    rows = cache.rows
+    f1l = cache.functions[0].eval(cache.l[rows])
+    ratio = cache.numer[rows] / cache.denom[rows] * cache.f5l[rows]
+    return max(np.max(np.abs(f1l)), np.max(np.abs(ratio)))
+
+
+def _assert_sorted_matches_reference(batch, params, functions=None):
+    value, cache = loss_forward(batch, params, functions)
+    assert cache.f2d is None and cache.f2_slope is None and cache.f4_slope is None
+    score_grads, box_grads = loss_backward(cache)
+    ref_value, ref_score_grads, ref_box_grads = _reference_loss(batch, params, functions)
+    assert abs(value - ref_value) <= 1e-13 * max(abs(ref_value), _value_scale(cache))
+    for actual, expected in ((score_grads, ref_score_grads), (box_grads, ref_box_grads)):
+        assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def _pair_counts(batch):
+    """(saturated pairs, tied pairs) among the positive rows, self-pairs aside."""
+    rows = np.flatnonzero(batch.positive_mask)
+    raw = batch.scores[None, :] - batch.scores[rows, None]
+    raw[np.arange(rows.size), rows] = 0.5
+    return np.count_nonzero(np.abs(raw) >= 1.0), np.count_nonzero(raw == 0.0)
+
+
+@pytest.mark.parametrize("scores_kind", SCORE_KINDS)
+@pytest.mark.parametrize("measurement", ["giou", "iou", "l1"])
+@pytest.mark.parametrize("block", [True, False], ids=["blocked", "unblocked"])
+def test_sorted_path_matches_reference(scores_kind, measurement, block):
+    k = SCORE_KINDS.index(scores_kind)
+    batch = _wide_batch(k + 1, (16, 32, 64, 24)[k], scores_kind)
+    saturated, ties = _pair_counts(batch)
+    # the batches reach the cases the cut rules tell apart
+    assert (saturated > 0) == (scores_kind in ("zero-one", "zero-two"))
+    assert ties > 0 or scores_kind in ("detector", "zero-two")
+    params = _sampled_params(11 + k, measurement=measurement, block_denominator=block)
+    _assert_sorted_matches_reference(batch, params)
+
+
+@pytest.mark.parametrize("scores_kind", SCORE_KINDS)
+@pytest.mark.parametrize("M", [1, 2, 5, 9])
+@pytest.mark.parametrize("block", [True, False], ids=["blocked", "unblocked"])
+def test_sorted_path_matches_reference_on_random_functions(scores_kind, M, block):
+    rng = np.random.default_rng([M, 47])
+    functions = tuple(_random_fn(rng, M) for _ in range(5))
+    k = SCORE_KINDS.index(scores_kind)
+    batch = _wide_batch(M + k, (64, 16, 32, 24)[k], scores_kind)
+    params = _sampled_params(M, block_denominator=block)
+    _assert_sorted_matches_reference(batch, params, functions)
+
+
+def test_sorted_path_gradients_match_finite_differences():
+    # unblocked and lambda = 1, so the gradients are those of the value
+    flat = _sampled_params(13).to_flat()
+    flat[-1] = 0.5
+    params = LossParams.from_flat(flat, block_denominator=False)
+    batch = _wide_batch(3, 16, "detector")
+    assert batch.scores.size >= N_SORTED
+    _, cache = loss_forward(batch, params)
+    assert cache.f2d is None
+    score_grads, box_grads = loss_backward(cache)
+    rng = np.random.default_rng(53)
+    eps = 1e-7
+
+    def central(scores, boxes):
+        def at(sign):
+            b = DetectionBatch(batch.boxes + sign * boxes, batch.scores + sign * scores,
+                               batch.gt_boxes, batch.assignment)
+            return loss_forward(b, params)[0]
+        return (at(1.0) - at(-1.0)) / (2.0 * eps)
+
+    rows = np.flatnonzero(batch.positive_mask)
+    negatives = np.flatnonzero(~batch.positive_mask)
+    for j in np.concatenate([rng.choice(rows, 8, replace=False),
+                             rng.choice(negatives, 8, replace=False)]):
+        step = np.zeros_like(batch.scores)
+        step[j] = eps
+        fd = central(step, np.zeros_like(batch.boxes))
+        assert abs(fd - score_grads[j]) <= 1e-6 * np.max(np.abs(score_grads))
+    for j in rng.choice(rows, 6, replace=False):
+        for c in range(4):
+            step = np.zeros_like(batch.boxes)
+            step[j, c] = eps
+            fd = central(np.zeros_like(batch.scores), step)
+            assert abs(fd - box_grads[j, c]) <= 1e-6 * np.max(np.abs(box_grads))
+    assert np.all(box_grads[negatives] == 0.0)
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["blocked", "unblocked"])
+def test_sorted_cache_holds_no_pairwise_array(block):
+    batch = _wide_batch(5, 64, "detector")
+    n, p = batch.scores.size, batch.n_positive
+    assert n == 1024 and 0 < p < n
+    _, cache = loss_forward(batch, _sampled_params(7, block_denominator=block))
+    arrays = {f.name: getattr(cache, f.name) for f in fields(cache)}
+    arrays = {k: v for k, v in arrays.items() if isinstance(v, np.ndarray)}
+    assert all(v.size < p * n for v in arrays.values())
+    assert arrays["f2_row_slope"].shape == (p,)
+    assert ("f4_row_slope" in arrays) == (not block)
+
+
+def test_one_prediction_below_n_sorted_keeps_the_dense_path():
+    params = _sampled_params(17, block_denominator=False)
+    dense = _wide_batch(2, 16, "ties", size=N_SORTED - 1)
+    value, cache = loss_forward(dense, params)
+    assert cache.f2d.shape == (dense.n_positive, N_SORTED - 1)
+    got = (value, *loss_backward(cache))
+    expected = _reference_loss(dense, params)
+    assert got[0] == expected[0]
+    for actual, want in zip(got[1:], expected[1:]):
+        _assert_same_bits(actual, want)
+    # one more prediction, or a shape function that is not piecewise, switch
+    _, cache = loss_forward(_wide_batch(2, 16, "ties", size=N_SORTED), params)
+    assert cache.f2d is None
+    functions = tuple(resolve_functions(params))
+    functions = functions[:3] + (handcrafted_substitution("linear"),) + functions[4:]
+    _, cache = loss_forward(_wide_batch(2, 16, "ties"), params, functions)
+    assert cache.f2d is not None
