@@ -17,12 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPositiveError, InvalidInputError
-from .geometry import measure, pairwise_iou, validate_boxes
+from .geometry import _overlap_arrays, measure, pairwise_iou, validate_boxes
 
 # COCO-style threshold sweep 0.50:0.05:0.95
 COCO_THRESHOLDS = tuple(np.linspace(0.5, 0.95, 10))
 
 NEGATIVE = -1
+
+# stands in for a missing box where scenes are padded to one shape
+_PAD_BOX = np.array([0.0, 0.0, 1.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +203,8 @@ def _mean_in_order(values) -> float:
 
 
 def _pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> np.ndarray:
-    """ap_pr_area at each IoU threshold: the one-scene case of _pr_area_stack.
+    """ap_pr_area at each IoU threshold: the one-scene case of _pr_area_stack,
+    with the scene passed as (1, R, G).
 
     Raises InvalidInputError unless the thresholds are a non-empty list of
     finite values in (0, 1].
@@ -219,36 +223,52 @@ def _pr_area_by_threshold(pred_boxes, scores, gt_boxes, iou_thresholds=None) -> 
     # at a threshold <= 0 a matched ground truth, masked to IoU 0, matches again
     if not (thr.ndim == 1 and thr.size > 0 and np.all((thr > 0.0) & (thr <= 1.0))):
         raise InvalidInputError("IoU thresholds must be a non-empty list of values in (0, 1]")
-    if boxes.shape[0] == 0:
-        return np.zeros(thr.size)
     validate_boxes(boxes)
-    return _pr_area_stack([_ranked_iou(boxes, s, gt)], thr)[0]
+    n_pred, n_gt = [boxes.shape[0]], [gt.shape[0]]
+    return _pr_area_stack(_ranked_iou(boxes, s, gt, n_pred, n_gt), n_gt, thr)[0]
 
 
-def _ranked_iou(boxes: np.ndarray, scores: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """IoU matrix of validated boxes against their ground truths, rows in
-    descending score order (ties keep input order)."""
-    order = np.argsort(-scores, kind="stable")
-    return pairwise_iou(boxes[order], gt)
+def _ranked_iou(boxes: np.ndarray, scores: np.ndarray, gt: np.ndarray,
+                n_pred, n_gt) -> np.ndarray:
+    """(S, R, G) IoU of each scene's predictions against its ground truths,
+    rows in descending score order (ties keep input order), padded with -1.0.
+
+    boxes and scores hold the validated predictions of S scenes one after
+    another, n_pred[s] of them for scene s; gt holds their validated ground
+    truths the same way, n_gt[s] for scene s. One stable argsort over the
+    (S, R) scores, padded with -inf so that padding ranks last, orders every
+    scene at once; the IoU is one elementwise pass over (S, R, G), with the
+    padding held at the unit box so that it never divides by zero, and then
+    masked to -1.0.
+    """
+    n_pred, n_gt = np.asarray(n_pred), np.asarray(n_gt)
+    rows = np.arange(n_pred.max()) < n_pred[:, None]
+    cols = np.arange(n_gt.max()) < n_gt[:, None]
+    padded_scores = np.full(rows.shape, -np.inf)
+    padded_scores[rows] = scores
+    padded_boxes = np.tile(_PAD_BOX, rows.shape + (1,))
+    padded_boxes[rows] = boxes
+    padded_gt = np.tile(_PAD_BOX, cols.shape + (1,))
+    padded_gt[cols] = gt
+    order = np.argsort(-padded_scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(padded_boxes, order[..., None], axis=1)
+    iou = _overlap_arrays(ranked[:, :, None, :], padded_gt[:, None, :, :])[0]
+    iou[~(rows[:, :, None] & cols[:, None, :])] = -1.0
+    return iou
 
 
-def _pr_area_stack(ranked_ious, iou_thresholds) -> np.ndarray:
+def _pr_area_stack(iou: np.ndarray, n_gt, iou_thresholds) -> np.ndarray:
     """PR-area AP of each scene at each threshold, as an (S, T) array.
 
-    ranked_ious holds one (R_s, G_s) IoU matrix per scene, rows in ranked
-    order and G_s >= 1; thresholds are positive. The matrices are padded to
-    (S, R, G) with IoU -1.0, which never reaches a threshold and never beats
-    a real IoU of 0, so every (scene, threshold) lane of the (S, T, G) state
-    runs the scalar greedy match with the same float operations in the same
-    order: argmax takes the first maximum, and precision is added at each
-    true positive only.
+    iou is the (S, R, G) tensor of _ranked_iou: scene s's rows in ranked
+    order against its n_gt[s] >= 1 ground truths, padded with IoU -1.0;
+    thresholds are positive. The padding never reaches a threshold and never
+    beats a real IoU of 0, so every (scene, threshold) lane of the (S, T, G)
+    state runs the scalar greedy match with the same float operations in the
+    same order: argmax takes the first maximum, and precision is added at
+    each true positive only.
     """
     thr = np.asarray(iou_thresholds, dtype=float)
-    n_gt = np.array([m.shape[1] for m in ranked_ious])
-    iou = np.full((len(ranked_ious), max(m.shape[0] for m in ranked_ious), n_gt.max()), -1.0)
-    for scene, m in enumerate(ranked_ious):
-        iou[scene, :m.shape[0], :m.shape[1]] = m
-
     lanes = (iou.shape[0], thr.size)
     matched = np.zeros(lanes + (iou.shape[2],), dtype=bool)
     columns = np.arange(iou.shape[2])
@@ -261,4 +281,4 @@ def _pr_area_stack(ranked_ious, iou_thresholds) -> np.ndarray:
         matched |= (columns == g) & hit[..., None]
         tp += hit
         precision_sum += np.where(hit, tp / (rank + 1), 0.0)
-    return precision_sum / n_gt[:, None]
+    return precision_sum / np.asarray(n_gt)[:, None]

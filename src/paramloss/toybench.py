@@ -27,6 +27,7 @@ from scipy.special import expit
 from . import paploss
 from .apmetric import (
     COCO_THRESHOLDS,
+    NEGATIVE,
     DetectionBatch,
     _mean_in_order,
     _pr_area_stack,
@@ -254,14 +255,17 @@ def read_json(path):
 def load_dataset(path):
     """(config, train, eval) from a dataset file.
 
-    Raises ConfigError for a file that is not JSON, lacks a key, or holds a
-    non-numeric or ragged array.
+    Raises ConfigError for a file that is not JSON, lacks a key, holds a
+    non-numeric or ragged array, or holds scenes of different feature widths.
     """
     data = read_json(path)
     try:
-        return dataset_from_json_dict(data)
+        config, train, eval_scenes = dataset_from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path} is not a dataset file: {exc!r}") from exc
+    # the model trained on the train scenes runs on the eval scenes too
+    _scene_sizes(train + eval_scenes, ConfigError)
+    return config, train, eval_scenes
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,19 +389,29 @@ def _weight_grads(model: ToyModel, cache: _ForwardCache,
     return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
 
 
+def _scene_sizes(scenes, error=InvalidInputError):
+    """(anchors, ground truths) per scene, as int arrays.
+
+    Raises `error` if the scenes' feature widths differ: one detector runs
+    on all of them, and their features cannot be stacked.
+    """
+    widths = {s.features.shape[1] for s in scenes}
+    if len(widths) > 1:
+        raise error(f"scenes have different feature widths {sorted(widths)}")
+    return (np.array([s.anchors.shape[0] for s in scenes]),
+            np.array([s.gt_boxes.shape[0] for s in scenes]))
+
+
 def _merge_scenes(scenes):
-    """Stack scene arrays into one joint batch with offset gt indices."""
-    feats = np.vstack([s.features for s in scenes])
-    anchors = np.vstack([s.anchors for s in scenes])
-    gts = np.vstack([s.gt_boxes for s in scenes])
-    assignment = []
-    offset = 0
-    for s in scenes:
-        asg = s.assignment.copy()
-        asg[asg >= 0] += offset
-        assignment.append(asg)
-        offset += s.gt_boxes.shape[0]
-    return feats, anchors, gts, np.concatenate(assignment)
+    """Stack scene arrays into one joint batch, each scene's gt indices
+    offset by the ground truths stacked before it."""
+    n_anchor, n_gt = _scene_sizes(scenes)
+    assignment = np.concatenate([s.assignment for s in scenes])
+    offsets = np.repeat(np.cumsum(n_gt) - n_gt, n_anchor)
+    return (np.concatenate([s.features for s in scenes]),
+            np.concatenate([s.anchors for s in scenes]),
+            np.concatenate([s.gt_boxes for s in scenes]),
+            np.where(assignment >= 0, assignment + offsets, NEGATIVE))
 
 
 def model_forward(model: ToyModel, scene: Scene) -> DetectionBatch:
@@ -425,8 +439,13 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
         raise InvalidInputError("training needs at least one scene")
     if batch_scenes < 1:
         raise InvalidInputError("batch_scenes must be at least 1")
-    n_features = train_set[0].features.shape[1]
-    model = ToyModel.init(n_features, HIDDEN, seed)
+    # stacked once: each step gathers its scenes' rows from these arrays
+    n_anchor, _ = _scene_sizes(train_set)
+    all_feats, all_anchors, gts, all_assignment = _merge_scenes(train_set)
+    all_rows = np.arange(all_feats.shape[0])
+    scene_rows = [all_rows[end - n:end]
+                  for end, n in zip(np.cumsum(n_anchor).tolist(), n_anchor.tolist())]
+    model = ToyModel.init(all_feats.shape[1], HIDDEN, seed)
     if steps == 0:
         return model
     if functions is None:
@@ -447,19 +466,20 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     for step in range(steps):
         if len(order) < batch_scenes:
             order = list(shuffle_rng.permutation(len(train_set)))
-        picked = [train_set[i] for i in order[:batch_scenes]]
+        rows = np.concatenate([scene_rows[i] for i in order[:batch_scenes]])
         order = order[batch_scenes:]
 
-        feats, anchors, gts, assignment = _merge_scenes(picked)
-        boxes, scores, cache = _model_apply(model, feats, anchors)
+        boxes, scores, cache = _model_apply(model, all_feats[rows], all_anchors[rows])
         degenerate = np.any(boxes[:, 2:] - boxes[:, :2] <= 0.0)
         if degenerate or not (np.all(np.isfinite(boxes)) and np.all(np.isfinite(scores))):
             raise TrainingDivergedError(step)
         # every DetectionBatch check already holds: the boxes are finite and
-        # non-degenerate and the scores finite (checked just above), and the
-        # ground truths and the int64 assignment into them come from validated
-        # Scenes, offset per scene by _merge_scenes
-        batch = DetectionBatch._trusted(boxes, scores, gts, assignment)
+        # non-degenerate and the scores finite (checked just above), the
+        # ground truths are the whole train set's, from validated Scenes, and
+        # the gathered rows of _merge_scenes's int64 assignment index into
+        # them. The loss reads only gt_boxes[assignment[positives]], so the
+        # ground truths of scenes this batch did not pick are never read.
+        batch = DetectionBatch._trusted(boxes, scores, gts, all_assignment[rows])
         try:
             value, loss_cache = loss_forward(batch, params, functions)
         except EmptyPositiveError:
@@ -497,14 +517,17 @@ def _reward_from(by_scene: np.ndarray) -> float:
 
 def _scene_threshold_ap(model: ToyModel, eval_scenes) -> np.ndarray:
     """(S, T) PR-area AP of the model per evaluation scene and COCO threshold,
-    from one greedy-matching pass over all scenes."""
+    from one detector pass and one greedy-matching pass over all scenes."""
     if not eval_scenes:
         raise InvalidInputError("reward needs a non-empty evaluation set")
-    ranked = []
-    for scene in eval_scenes:
-        batch = model_forward(model, scene)
-        ranked.append(_ranked_iou(batch.boxes, batch.scores, batch.gt_boxes))
-    return _pr_area_stack(ranked, COCO_THRESHOLDS)
+    n_anchor, n_gt = _scene_sizes(eval_scenes)
+    feats, anchors, gts, _ = _merge_scenes(eval_scenes)
+    boxes, scores, _ = _model_apply(model, feats, anchors)
+    validate_boxes(boxes)
+    if not np.all(np.isfinite(scores)):
+        raise InvalidInputError("scores must be finite")
+    return _pr_area_stack(_ranked_iou(boxes, scores, gts, n_anchor, n_gt), n_gt,
+                          COCO_THRESHOLDS)
 
 
 def dataset_loss(model: ToyModel, params: LossParams, scenes) -> float:

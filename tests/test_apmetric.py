@@ -313,6 +313,16 @@ def _random_thresholds(rng):
     return tuple(rng.uniform(0.01, 0.99, size=int(rng.integers(1, 13))))
 
 
+def _padded(ious):
+    """The (S, R, G) stack of (R_s, G_s) IoU matrices, padded with -1.0,
+    and the ground-truth count of each."""
+    n_gt = [m.shape[1] for m in ious]
+    iou = np.full((len(ious), max(m.shape[0] for m in ious), max(n_gt)), -1.0)
+    for scene, m in enumerate(ious):
+        iou[scene, :m.shape[0], :m.shape[1]] = m
+    return iou, n_gt
+
+
 class TestPrAreaStack:
     """The one greedy-matching pass over scenes x thresholds against the
     scalar loop."""
@@ -332,17 +342,22 @@ class TestPrAreaStack:
             assert ap_pr_area(boxes, scores, gts, thresholds) == total / len(ref)
 
     def test_multi_scene_rows_equal_one_scene_calls(self):
+        # ragged scenes of 0-40 predictions and 1-5 ground truths, their
+        # scores rounded to 0.1 so that they tie within and across scenes,
+        # ranked and matched in one pass each
         rng = np.random.default_rng(243)
         for _ in range(40):
-            ranked = []
-            for _ in range(int(rng.integers(1, 9))):
-                boxes, scores, gts = _random_scene(rng, [0.02, 0.1, 0.3][int(rng.integers(3))])
-                ranked.append(_ranked_iou(boxes, scores, gts))
+            scenes = [_random_scene(rng, [0.02, 0.1, 0.3][int(rng.integers(3))])
+                      for _ in range(int(rng.integers(1, 9)))]
+            boxes, scores, gts = (np.concatenate(parts) for parts in zip(*scenes))
+            n_pred = [len(s) for _, s, _ in scenes]
+            n_gt = [len(g) for _, _, g in scenes]
             thresholds = _random_thresholds(rng)
-            stacked = _pr_area_stack(ranked, thresholds)
-            assert stacked.shape == (len(ranked), len(thresholds))
-            for row, mat in zip(stacked, ranked):
-                assert row.tolist() == _pr_area_stack([mat], thresholds)[0].tolist()
+            stacked = _pr_area_stack(_ranked_iou(boxes, scores, gts, n_pred, n_gt), n_gt,
+                                     thresholds)
+            assert stacked.shape == (len(scenes), len(thresholds))
+            for row, scene in zip(stacked, scenes):
+                assert row.tolist() == _reference_by_threshold(*scene, thresholds)
 
     def test_padding_never_hits(self):
         # a one-prediction scene, perfectly matched, padded to the rank and
@@ -353,10 +368,15 @@ class TestPrAreaStack:
         small = pairwise_iou(np.array([UNIT]), np.array([UNIT]))
         none = np.zeros((0, 2))
         thresholds = np.linspace(0.01, 1.0, 12)
-        stacked = _pr_area_stack([big, small, none], thresholds)
+        stacked = _pr_area_stack(*_padded([big, small, none]), thresholds)
         assert stacked[1].tolist() == [1.0] * 12
         assert stacked[2].tolist() == [0.0] * 12
-        assert stacked[0].tolist() == _pr_area_stack([big], thresholds)[0].tolist()
+        assert stacked[0].tolist() == _pr_area_stack(*_padded([big]), thresholds)[0].tolist()
+        # _ranked_iou pads the same way
+        ranked = _ranked_iou(np.vstack([np.tile(gts, (4, 1)), [UNIT]]), np.zeros(len(big) + 1),
+                             np.vstack([gts, [UNIT], [UNIT, UNIT]]), [len(big), 1, 0],
+                             [len(gts), 1, 2])
+        assert ranked.tolist() == _padded([big, small, none])[0].tolist()
 
     def test_iou_ties_take_the_first_ground_truth(self):
         # the first prediction straddles both ground truths at IoU 1/3 each

@@ -265,6 +265,23 @@ class TestTrainEvalCommand:
         assert main(["train-eval", "--substitution", "linear", "--config", str(config),
                      "--out", str(out)]) == EXIT_CONFIG
 
+    def test_mixed_feature_widths_exit_config(self, tmp_path, capsys):
+        # 20 scenes of F = 8 and 20 of F = 9 in one dataset file
+        config = paramloss.toybench.DatasetConfig(scenes=20, features=8)
+        scenes = []
+        for width in (8, 9):
+            train, eval_scenes = paramloss.toybench.generate(
+                paramloss.toybench.DatasetConfig(scenes=20, features=width))
+            scenes += train + eval_scenes
+        data = paramloss.toybench.dataset_to_json_dict(config, scenes[:32], scenes[32:])
+        dataset = tmp_path / "mixed.json"
+        dataset.write_text(json.dumps(data))
+        search_config = tmp_path / "search_config.json"
+        search_config.write_text(json.dumps(dict(TINY_SEARCH, dataset=str(dataset))))
+        assert main(["train-eval", "--substitution", "linear", "--config", str(search_config),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "feature widths [8, 9]" in capsys.readouterr().err
+
     def test_divergence_exits_runtime(self, tmp_path, dataset_dir, monkeypatch, capsys):
         def diverges(*args, **kwargs):
             raise TrainingDivergedError(7)

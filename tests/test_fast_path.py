@@ -368,6 +368,21 @@ def test_train_inner_matches_validated_reference(params, functions):
     assert np.array_equal(model.to_vector(), reference)
 
 
+@pytest.mark.parametrize("batch_scenes", [5, 8])
+def test_train_inner_on_ragged_scenes_matches_reference(batch_scenes):
+    # scenes of 16 and 10 anchors and 1-4 ground truths: each step gathers
+    # its rows from the train set stacked once, where the reference merges
+    # the picked scenes again
+    sixteen = generate(DatasetConfig(scenes=15, g_max=4, anchors=16, features=6, seed=8))[0]
+    ten = generate(DatasetConfig(scenes=15, g_max=4, anchors=10, features=6, seed=9))[0]
+    train = tuple(s for pair in zip(sixteen, ten) for s in pair)
+    assert {len(s.anchors) for s in train} == {10, 16}
+    params = LossParams.identity(block_denominator=False)
+    model = train_inner(params, train, STEPS, seed=12, batch_scenes=batch_scenes)
+    reference = _reference_train(params, train, STEPS, seed=12, batch_scenes=batch_scenes)
+    assert np.array_equal(model.to_vector(), reference)
+
+
 def _reference_loss(batch, params, functions=None):
     """loss_forward and loss_backward as formulas on the (P, N) score-difference
     array of the positive rows: the clip mask and the zeroed self-pairs as

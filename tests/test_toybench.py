@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from paramloss.apmetric import COCO_THRESHOLDS, DetectionBatch, ap_pr_area, assign
+from paramloss.apmetric import (
+    COCO_THRESHOLDS,
+    DetectionBatch,
+    _pr_area_by_threshold,
+    ap_pr_area,
+    assign,
+)
 from paramloss.errors import (
     ConfigError,
     InvalidInputError,
@@ -33,6 +39,15 @@ from paramloss.toybench import (
 )
 
 SMALL = DatasetConfig(scenes=30, g_max=2, anchors=10, features=6, noise=0.05, seed=3)
+
+
+def _mixed_width_sets():
+    """(train, eval): 20 train and 12 eval scenes, half of each of F = 8 and
+    half of F = 9."""
+    eight = generate(DatasetConfig(scenes=20, features=8, seed=1))
+    nine = generate(DatasetConfig(scenes=20, features=9, seed=2))
+    return (eight[0][:10] + nine[0][:10],
+            eight[1] + nine[1] + eight[0][10:12] + nine[0][10:12])
 
 
 class TestDatasetConfig:
@@ -181,6 +196,13 @@ class TestDatasetIO:
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.anchors, b.anchors)
             assert np.array_equal(a.gt_boxes, b.gt_boxes)
+
+    def test_mixed_feature_widths_rejected(self, tmp_path):
+        # scenes of F = 8 and of F = 9 in one file
+        path = tmp_path / "mixed.json"
+        save_dataset(path, SMALL, *_mixed_width_sets())
+        with pytest.raises(ConfigError, match="feature widths"):
+            load_dataset(path)
 
     def test_dict_round_trip(self):
         train, eval_scenes = generate(SMALL)
@@ -404,6 +426,11 @@ class TestTrainInner:
             gains.append(reward(trained, eval_scenes) - reward(init, eval_scenes))
         assert np.mean(gains) > 0.05
 
+    def test_mixed_feature_widths_rejected(self):
+        train, _ = _mixed_width_sets()
+        with pytest.raises(InvalidInputError, match="feature widths"):
+            train_inner(LossParams.identity(), train, steps=1, seed=0)
+
     def test_divergence_raises(self):
         train, _ = generate(SMALL)
         with pytest.raises(TrainingDivergedError):
@@ -418,6 +445,12 @@ class TestReward:
         assert 0.0 <= value <= 1.0
         with pytest.raises(InvalidInputError):
             reward(model, ())
+
+    def test_mixed_feature_widths_rejected(self):
+        _, eval_scenes = _mixed_width_sets()
+        model = ToyModel.init(8, hidden=16, seed=0)
+        with pytest.raises(InvalidInputError, match="feature widths"):
+            reward(model, eval_scenes)
 
     def test_noise_free_zero_model_reward_is_one(self):
         # with no jitter the first candidates are exact ground-truth copies;
@@ -458,14 +491,25 @@ class TestReward:
         assert _reward_from(by_scene) == total / len(by_scene)
 
     def test_scene_threshold_ap_rows(self):
+        # the one detector pass and the padded ranking against each scene on
+        # its own: the generated eval set under a trained model, then
+        # hand-mixed scenes of 16 and 10 anchors and 1-4 ground truths, under
+        # the trained model and under a zero-head model, whose scores all tie
+        # at 0.5 within and across scenes
         train, eval_scenes = generate(SMALL)
-        model = train_inner(LossParams.identity(), train, steps=20, seed=1)
-        by_scene = _scene_threshold_ap(model, eval_scenes)
-        assert by_scene.shape == (len(eval_scenes), len(COCO_THRESHOLDS))
-        for row, scene in zip(by_scene, eval_scenes):
-            batch = model_forward(model, scene)
-            assert row.tolist() == [ap_pr_area(batch.boxes, batch.scores, batch.gt_boxes, [thr])
-                                    for thr in COCO_THRESHOLDS]
+        trained = train_inner(LossParams.identity(), train, steps=20, seed=1)
+        sixteen = generate(DatasetConfig(scenes=12, g_max=4, anchors=16, features=6, seed=5))[0]
+        ten = generate(DatasetConfig(scenes=12, g_max=4, anchors=10, features=6, seed=6))[0]
+        mixed = (ten[0],) + sixteen[:3] + ten[1:4] + sixteen[3:5] + ten[4:6]
+        assert {len(s.gt_boxes) for s in mixed} == {1, 2, 3, 4}
+        zero_heads = ToyModel.init(6, hidden=16, seed=0)
+        for model, scenes in [(trained, eval_scenes), (trained, mixed), (zero_heads, mixed)]:
+            by_scene = _scene_threshold_ap(model, scenes)
+            assert by_scene.shape == (len(scenes), len(COCO_THRESHOLDS))
+            for row, scene in zip(by_scene, scenes):
+                batch = model_forward(model, scene)
+                assert row.tolist() == _pr_area_by_threshold(
+                    batch.boxes, batch.scores, batch.gt_boxes, COCO_THRESHOLDS).tolist()
 
 
 class TestMergeScenes:
