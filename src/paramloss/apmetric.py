@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPositiveError, InvalidInputError
-from .geometry import _overlap_arrays, measure, pairwise_iou, validate_boxes
+from .geometry import MEASUREMENTS, _measure_arrays, _overlap_arrays, pairwise_iou, validate_boxes
 
 # COCO-style threshold sweep 0.50:0.05:0.95
 COCO_THRESHOLDS = tuple(np.linspace(0.5, 0.95, 10))
@@ -121,17 +121,22 @@ def loc_scores(batch: DetectionBatch, measurement: str = "iou") -> np.ndarray:
     (g + 1) / 2.
     """
     pos = batch.positive_mask
-    if not np.any(pos):
-        return np.zeros(batch.boxes.shape[0])
-    vals = measure(batch.boxes[pos], batch.gt_boxes[batch.assignment[pos]], measurement)
-    return _scatter_loc_scores(batch, vals, measurement)
-
-
-def _scatter_loc_scores(batch: DetectionBatch, vals: np.ndarray, measurement: str) -> np.ndarray:
-    """loc_scores from the positives' measurement values, in mask order."""
     out = np.zeros(batch.boxes.shape[0])
-    out[batch.positive_mask] = (vals + 1.0) / 2.0 if measurement == "giou" else vals
+    if np.any(pos):
+        if measurement not in MEASUREMENTS:
+            raise InvalidInputError(f"unknown measurement {measurement!r}")
+        out[pos] = _positive_loc_scores(batch, np.flatnonzero(pos), measurement)[0]
     return out
+
+
+def _positive_loc_scores(batch: DetectionBatch, rows: np.ndarray, measurement: str):
+    """(loc_scores at the positives rows, their gradients wrt those boxes),
+    from one overlap pass; the caller checks the measurement."""
+    vals, grads = _measure_arrays(batch.gt_boxes[batch.assignment[rows]], batch.boxes[rows],
+                                  measurement)
+    if measurement == "giou":
+        return (vals + 1.0) / 2.0, grads / 2.0
+    return vals, grads
 
 
 def loc_score(batch: DetectionBatch, i: int, measurement: str = "iou") -> float:

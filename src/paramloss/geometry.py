@@ -106,8 +106,7 @@ def l1_score(a: Box, b: Box) -> float:
     the same scale as the overlap measurements; with coordinates in [0, 1]
     the per-coordinate distance is at most 1, so the sum is divided by 4.
     """
-    d = float(np.abs(a.array - b.array).sum())
-    return max(0.0, 1.0 - d / 4.0)
+    return float(_measure_arrays(a.array[None, :], b.array[None, :], "l1")[0][0])
 
 
 def giou_grad(a: Box, b: Box, include_enclosing: bool = True) -> np.ndarray:

@@ -16,8 +16,9 @@ The outer sum runs over the positives alone: each positive is ranked
 against the whole batch. That equals the sum over all N predictions,
 because every shape function is pinned at f(0) = 0 and a negative has
 l_i = 0, so its term f1(0) - f5(0) * (...) is exactly 0 and so is its
-weight in every gradient. The pairwise arrays are therefore (P, N), one row
-per positive, not (N, N).
+weight in every gradient. So the loss keeps one value per positive, and
+its pairwise arrays are (P, N), one row per positive, not (N, N). The
+positives' localization scores and their box gradients come from apmetric.
 
 On a wide batch the loss forms no pairwise array at all. When f2 and f4 are
 piecewise linear, every pair sum over the batch, sum_j w_j f(d_ji), is a sum
@@ -40,7 +41,7 @@ from scipy.special import expit
 
 # loc_scores and measure_grad stay importable from here, unused: the
 # benchmark's per-layer table (perfbench/workloads.py) wraps these bindings
-from .apmetric import DetectionBatch, _scatter_loc_scores, loc_scores  # noqa: F401
+from .apmetric import DetectionBatch, _positive_loc_scores, loc_scores  # noqa: F401
 from .errors import (
     ConstraintViolationError,
     EmptyPositiveError,
@@ -48,7 +49,7 @@ from .errors import (
     check_field_types,
     check_value_type,
 )
-from .geometry import MEASUREMENTS, _measure_arrays, measure_grad  # noqa: F401
+from .geometry import MEASUREMENTS, measure_grad  # noqa: F401
 from .piecewise import PiecewiseFn, RatioParams, build, identity_params, on_unit_interval
 
 HANDCRAFTED_KINDS = ("sigmoid", "sqrt", "linear", "square")
@@ -83,29 +84,14 @@ class AnalyticFn:
         return on_unit_interval(both, x, active)
 
 
-@dataclass(frozen=True, eq=False)
-class StepFn:
-    """Exact Heaviside step, 1 for x > threshold.
+def StepFn(threshold: float = 0.0) -> AnalyticFn:
+    """Exact Heaviside step, 1 for x > threshold, as an AnalyticFn.
 
     Equivalence hook for tests: plugging steps into the loss must reproduce
     the exact AP. Slope is 0 everywhere (the subgradient almost everywhere).
     """
-
-    threshold: float = 0.0
-
-    def _step(self, arr):
-        return (arr > self.threshold).astype(float)
-
-    def eval(self, x):
-        return on_unit_interval(self._step, x)
-
-    __call__ = eval
-
-    def slope(self, x):
-        return on_unit_interval(np.zeros_like, x)
-
-    def eval_with_slope(self, x, active):
-        return on_unit_interval(lambda arr, _: (self._step(arr), np.zeros_like(arr)), x, active)
+    return AnalyticFn(lambda x: (x > threshold).astype(float), np.zeros_like,
+                      f"step-{threshold}")
 
 
 def handcrafted_substitution(kind: str):
@@ -272,6 +258,9 @@ def resolve_functions(params: LossParams) -> tuple:
 class LossCache:
     """Intermediates reused by the backward pass, for P positives of N.
 
+    Per-prediction values are kept for the positives i = rows[k] alone;
+    the one (N,) vector is the column weights of the numerator sums.
+
     On the dense path (see loss_forward) the cache holds three (P, N)
     arrays, O(P·N): row k belongs to the k-th positive i = rows[k], and the
     masked slopes of f2 and f4 are their slopes at d_ji on the entries where
@@ -279,24 +268,22 @@ class LossCache:
     sorted path it holds those slopes summed over each row instead, O(N),
     and the backward pass sums the columns from the sorted scores again.
     The masked slopes of f1, f3 and f5 are their slopes at l on the entries
-    with l > 0, and exactly 0.0 elsewhere; there the measurement gradient is
-    0. The (N,) vectors hold numer 0 and denom 1 at the negatives.
+    with l > 0, and exactly 0.0 elsewhere; there the loc-score gradient is 0.
     """
 
     batch: DetectionBatch
     params: LossParams
     functions: tuple         # f1..f5
-    l: np.ndarray            # (N,) localization scores
     rows: np.ndarray         # (P,) indices of the positives
-    f3l: np.ndarray          # (N,)
-    f5l: np.ndarray          # (N,)
-    f1l_slope: np.ndarray    # (N,) f1's masked slope at l
-    f3l_slope: np.ndarray    # (N,) f3's masked slope at l
-    f5l_slope: np.ndarray    # (N,) f5's masked slope at l
-    numer: np.ndarray        # (N,) n_i
-    denom: np.ndarray        # (N,) m_i
-    measure_grads: np.ndarray  # (P, 4) measurement gradients of the positives
-    n_pos: int
+    l: np.ndarray            # (P,) localization scores
+    col_weights: np.ndarray  # (N,) 1 - f3(l_j); 1.0 at the negatives
+    f5l: np.ndarray          # (P,)
+    f1l_slope: np.ndarray    # (P,) f1's masked slope at l
+    f3l_slope: np.ndarray    # (P,) f3's masked slope at l
+    f5l_slope: np.ndarray    # (P,) f5's masked slope at l
+    numer: np.ndarray        # (P,) n_i
+    denom: np.ndarray        # (P,) m_i
+    loc_grads: np.ndarray    # (P, 4) gradients of l wrt the positives' boxes
     # dense path
     f2d: object = None       # (P, N) f2(d) with the self-pairs zeroed
     f2_slope: object = None  # (P, N) f2's masked slope
@@ -335,9 +322,10 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
 
     The pair sums over the batch come from one of two paths. When f2 and f4
     are both PiecewiseFn and the batch holds at least N_SORTED predictions,
-    they are read from the scores sorted once (_sorted_rows); otherwise
-    they are summed over (P, N) arrays (_dense_rows). The two agree within
-    rounding; the rest of the loss is the same code for both.
+    none of them scored beyond +-2^10, they are read from the scores sorted
+    once (_sorted_rows); otherwise they are summed over (P, N) arrays
+    (_dense_rows). The two agree within rounding; the rest of the loss is
+    the same code for both.
     """
     if functions is None:
         functions = resolve_functions(params)
@@ -345,39 +333,33 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
         raise InvalidInputError("functions override must supply exactly 5 functions")
     f1, f2, f3, f4, f5 = functions
 
-    n_pos = batch.n_positive
-    if n_pos == 0:
-        raise EmptyPositiveError("loss requires at least one positive prediction")
-
-    # loc_scores without checking the boxes again (DetectionBatch has), and
-    # the measurement gradients from the same overlap pass
     rows = np.flatnonzero(batch.positive_mask)
-    vals, measure_grads = _measure_arrays(batch.gt_boxes[batch.assignment[rows]],
-                                          batch.boxes[rows], params.measurement)
-    l = _scatter_loc_scores(batch, vals, params.measurement)
+    if rows.size == 0:
+        raise EmptyPositiveError("loss requires at least one positive prediction")
+    l, loc_grads = _positive_loc_scores(batch, rows, params.measurement)
 
-    # a slope at l = 0 may diverge (sqrt), and the measurement gradient
-    # there is 0, so it is masked out
+    # a slope at l = 0 may diverge (sqrt), and the loc-score gradient there
+    # is 0, so it is masked out
     overlaps = l > 0.0
     f1l, f1l_slope = f1.eval_with_slope(l, overlaps)
     f3l, f3l_slope = f3.eval_with_slope(l, overlaps)
     f5l, f5l_slope = f5.eval_with_slope(l, overlaps)
 
     s = batch.scores
+    # a negative has l = 0, so its weight is 1 - f3(0) = 1
+    col_weights = np.ones_like(s)
+    col_weights[rows] = 1.0 - f3l
+    # the sorted path's prefix sums round at the scale of max|s| (_piece_sums)
     sort = (s.size >= N_SORTED and isinstance(f2, PiecewiseFn)
-            and isinstance(f4, PiecewiseFn))
+            and isinstance(f4, PiecewiseFn) and np.abs(s).max() <= 2.0**10)
     pair_rows = _sorted_rows if sort else _dense_rows
-    numer_rows, denom_sums, pair_fields = pair_rows(s, rows, f2, f4, 1.0 - f3l,
-                                                    params.block_denominator)
-    numer = np.zeros_like(l)
-    denom = np.ones_like(l)
-    numer[rows] = numer_rows
-    denom[rows] += denom_sums
-    value = -(f1l[rows] - (numer[rows] / denom[rows]) * f5l[rows]).sum() / n_pos
+    numer, denom_sums, pair_fields = pair_rows(s, rows, f2, f4, col_weights,
+                                               params.block_denominator)
+    denom = 1.0 + denom_sums
+    value = -(f1l - (numer / denom) * f5l).sum() / rows.size
 
-    cache = LossCache(batch, params, functions, l, rows, f3l, f5l,
-                      f1l_slope, f3l_slope, f5l_slope, numer, denom, measure_grads, n_pos,
-                      **pair_fields)
+    cache = LossCache(batch, params, functions, rows, l, col_weights, f5l,
+                      f1l_slope, f3l_slope, f5l_slope, numer, denom, loc_grads, **pair_fields)
     return float(value), cache
 
 
@@ -437,8 +419,15 @@ def _piece_sums(fn, points, weights, queries, own_weights):
     read from prefix sums. Segment k holds the points in [cut_k, cut_k+1),
     which is PiecewiseFn's half-open rule. A point at or below q_a - 1 adds
     fn(0) = 0 and one at or above q_a + 1 adds fn(1) w_b = w_b; neither adds
-    to the slope. The prefix sums round at the scale of the scores, so the
-    sums are within rounding of the pairwise ones for scores of order 1.
+    to the slope.
+
+    Rounding: the prefix sums of w p reach N max|w| max|s|, and the pieces
+    cancel them down to the size of the result. With B = max(1, max_k |b_k|)
+    and eps = 2^-52, a value is within about N eps max|w| B max(1, max|s|)
+    of the pairwise sum and a slope within about N eps max|w| B (constants
+    below 10 in the tests), besides a point within eps max|s| of a cut that
+    lands in the next segment. So loss_forward comes here only for
+    max|s| <= 2^10; detector scores lie in (0, 1).
     """
     knots, slopes, intercepts = fn.pieces()
     cuts = queries[:, None] + (2.0 * knots - 1.0)
@@ -470,7 +459,7 @@ def _dense_grad_sums(cache, g, h):
     """((col, row) of f2's weighted slopes, cross, (col, row) of f4's or
     None) from the cached (P, N) arrays."""
     # the masked slopes already carry d(d_ji)/ds up to its sign and 1/2
-    w = cache.f2_slope * (1.0 - cache.f3l)[None, :]
+    w = cache.f2_slope * cache.col_weights[None, :]
     f4_sums = None if h is None else (h @ cache.f4_slope, cache.f4_slope.sum(axis=1))
     # sum_{i != k} g_i f2(d_ki), self-pairs already zero
     return (g @ w, w.sum(axis=1)), (g @ cache.f2d)[cache.rows], f4_sums
@@ -493,7 +482,7 @@ def _sorted_grad_sums(cache, g, h):
     _, f2, _, f4, _ = cache.functions
     values, slopes = columns(f2, g)
     f4_sums = None if h is None else (columns(f4, h)[1], cache.f4_row_slope)
-    return ((1.0 - cache.f3l) * slopes, cache.f2_row_slope), values[rows], f4_sums
+    return (cache.col_weights * slopes, cache.f2_row_slope), values[rows], f4_sums
 
 
 def loss_backward(cache: LossCache):
@@ -506,26 +495,22 @@ def loss_backward(cache: LossCache):
     """
     params = cache.params
     rows = cache.rows
-    n_pos = cache.n_pos
+    numer, denom, f5l = cache.numer, cache.denom, cache.f5l
 
-    numer, denom = cache.numer[rows], cache.denom[rows]
-    f5l = cache.f5l[rows]
     g = f5l / denom  # per-positive ratio weight f5(l_i) / m_i
     h = None if params.block_denominator else f5l * numer / denom**2
     grad_sums = _dense_grad_sums if cache.f2d is not None else _sorted_grad_sums
     f2_sums, cross, f4_sums = grad_sums(cache, g, h)
-    score_grads = _ranked_grad(g, *f2_sums, rows) / (2.0 * n_pos)
+    score_grads = _ranked_grad(g, *f2_sums, rows) / (2.0 * rows.size)
     if h is not None:
-        score_grads -= _ranked_grad(h, *f4_sums, rows) / (2.0 * n_pos)
+        score_grads -= _ranked_grad(h, *f4_sums, rows) / (2.0 * rows.size)
 
     # loss_forward builds no cache for a batch without positives
     box_grads = np.zeros_like(cache.batch.boxes)
-    dsum_dl = cache.f1l_slope[rows] - (numer / denom) * cache.f5l_slope[rows] \
-        + cache.f3l_slope[rows] * cross
-    dl_dloss = -dsum_dl / n_pos
-    rescale = 0.5 if params.measurement == "giou" else 1.0
+    dsum_dl = cache.f1l_slope - (numer / denom) * cache.f5l_slope + cache.f3l_slope * cross
+    dl_dloss = -dsum_dl / rows.size
     lam = lambda_from_theta(params.theta_lambda)
-    box_grads[rows] = lam * (dl_dloss * rescale)[:, None] * cache.measure_grads
+    box_grads[rows] = lam * dl_dloss[:, None] * cache.loc_grads
     return score_grads, box_grads
 
 
@@ -533,4 +518,4 @@ def loss_with_grads(batch: DetectionBatch, params: LossParams, functions=None) -
     """Forward and backward in one call."""
     value, cache = loss_forward(batch, params, functions)
     score_grads, box_grads = loss_backward(cache)
-    return LossResult(value, score_grads, box_grads, cache.n_pos)
+    return LossResult(value, score_grads, box_grads, cache.rows.size)

@@ -256,15 +256,25 @@ def load_dataset(path):
     """(config, train, eval) from a dataset file.
 
     Raises ConfigError for a file that is not JSON, lacks a key, holds a
-    non-numeric or ragged array, or holds scenes of different feature widths.
+    non-numeric or ragged array, holds scenes of different feature widths,
+    or whose config's F, A or scenes does not describe its scenes.
     """
     data = read_json(path)
     try:
         config, train, eval_scenes = dataset_from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path} is not a dataset file: {exc!r}") from exc
+    scenes = train + eval_scenes
     # the model trained on the train scenes runs on the eval scenes too
-    _scene_sizes(train + eval_scenes, ConfigError)
+    n_anchor, _ = _scene_sizes(scenes, ConfigError)
+    # a run records this config as the data it trained and scored on
+    stated = config.to_json_dict()
+    held = {"F": {s.features.shape[1] for s in scenes}, "A": set(n_anchor.tolist()),
+            "scenes": {len(scenes)}}
+    for key, values in held.items():
+        if values != {stated[key]}:
+            raise ConfigError(f"{path}: config {key} = {stated[key]}, "
+                              f"but the scenes hold {sorted(values)}")
     return config, train, eval_scenes
 
 

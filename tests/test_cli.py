@@ -282,6 +282,20 @@ class TestTrainEvalCommand:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "feature widths [8, 9]" in capsys.readouterr().err
 
+    def test_config_of_other_scenes_exits_config(self, tmp_path, capsys):
+        # the file's config says 200 scenes of F = 6; it holds 20 of F = 8
+        config = paramloss.toybench.DatasetConfig(features=6)
+        train, eval_scenes = paramloss.toybench.generate(
+            paramloss.toybench.DatasetConfig(scenes=20))
+        data = paramloss.toybench.dataset_to_json_dict(config, train, eval_scenes)
+        dataset = tmp_path / "other.json"
+        dataset.write_text(json.dumps(data))
+        search_config = tmp_path / "search_config.json"
+        search_config.write_text(json.dumps(dict(TINY_SEARCH, dataset=str(dataset))))
+        assert main(["train-eval", "--substitution", "linear", "--config", str(search_config),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "config F = 6" in capsys.readouterr().err
+
     def test_divergence_exits_runtime(self, tmp_path, dataset_dir, monkeypatch, capsys):
         def diverges(*args, **kwargs):
             raise TrainingDivergedError(7)

@@ -550,13 +550,36 @@ def test_cache_holds_positive_rows(block):
     matrices = [cache.f2d, cache.f2_slope] + ([] if block else [cache.f4_slope])
     assert all(m.shape == (p, n) for m in matrices)
     assert block == (cache.f4_slope is None)
-    assert cache.measure_grads.shape == (p, 4)
-    for vec in (cache.l, cache.f3l, cache.f5l, cache.f1l_slope, cache.f3l_slope,
-                cache.f5l_slope, cache.numer, cache.denom):
-        assert vec.shape == (n,)
-    neg = ~batch.positive_mask
-    assert np.all(cache.numer[neg] == 0.0) and np.all(cache.denom[neg] == 1.0)
-    assert np.all(cache.numer[~neg] > 0.0) and np.all(cache.denom[~neg] > 1.0)
+    assert cache.loc_grads.shape == (p, 4)
+    for vec in (cache.l, cache.f5l, cache.f1l_slope, cache.f3l_slope, cache.f5l_slope,
+                cache.numer, cache.denom):
+        assert vec.shape == (p,)
+    assert np.all(cache.numer > 0.0) and np.all(cache.denom > 1.0)
+    # 1 - f3(0) at every negative, exactly
+    assert cache.col_weights.shape == (n,)
+    assert np.all(cache.col_weights[~batch.positive_mask] == 1.0)
+    assert np.array_equal(cache.col_weights[cache.rows], 1.0 - cache.functions[2].eval(cache.l))
+
+
+@pytest.mark.parametrize("measurement", ["iou", "giou", "l1"])
+def test_loc_scores_and_gradients_are_the_rescaled_measurement(measurement):
+    # GIoU in [-1, 1] is mapped through (g + 1) / 2, which halves its gradient
+    good = _saturated_batch(3)
+    boxes = good.boxes.copy()
+    boxes[np.flatnonzero(good.positive_mask)[0]] += 5.0  # a disjoint positive
+    batch = DetectionBatch(boxes, good.scores, good.gt_boxes, good.assignment)
+    pos = batch.positive_mask
+    pred, gt = batch.boxes[pos], batch.gt_boxes[batch.assignment[pos]]
+    vals = geometry.measure(pred, gt, measurement)
+    grads = geometry.measure_grad(pred, gt, measurement)
+    if measurement == "giou":
+        vals, grads = (vals + 1.0) / 2.0, grads * 0.5
+    want = np.zeros(pos.size)
+    want[pos] = vals
+    _assert_same_bits(loc_scores(batch, measurement), want)
+    _, cache = loss_forward(batch, _sampled_params(7, measurement=measurement))
+    _assert_same_bits(cache.l, vals)
+    _assert_same_bits(cache.loc_grads, grads)
 
 
 def test_sqrt_slope_never_sees_a_saturated_clip():
@@ -666,9 +689,8 @@ def _wide_batch(seed, scenes, scores_kind, size=None):
 def _value_scale(cache):
     """The largest per-positive term of the loss, a mean that may cancel
     to far below its terms: the value rounds relative to this."""
-    rows = cache.rows
-    f1l = cache.functions[0].eval(cache.l[rows])
-    ratio = cache.numer[rows] / cache.denom[rows] * cache.f5l[rows]
+    f1l = cache.functions[0].eval(cache.l)
+    ratio = cache.numer / cache.denom * cache.f5l
     return max(np.max(np.abs(f1l)), np.max(np.abs(ratio)))
 
 
@@ -783,3 +805,48 @@ def test_one_prediction_below_n_sorted_keeps_the_dense_path():
     functions = functions[:3] + (handcrafted_substitution("linear"),) + functions[4:]
     _, cache = loss_forward(_wide_batch(2, 16, "ties"), params, functions)
     assert cache.f2d is not None
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6])
+def test_piece_sums_within_stated_bound_of_shifted_scores(offset):
+    # the docstring's rounding bound, with the constant 10, on scores far
+    # from 0; the prefix sums round at the scale of max|s|
+    rng = np.random.default_rng([int(offset), 59])
+    fn = _random_fn(rng, 5)
+    n = 256
+    s = rng.uniform(0.0, 1.0, n) + offset
+    w = rng.uniform(0.0, 1.0, n)
+    order = np.argsort(s, kind="stable")
+    values, slopes = paploss._piece_sums(fn, s[order], w[order], s, w)
+    raw = s[None, :] - s[:, None]
+    d = (np.clip(raw, -1.0, 1.0) + 1.0) / 2.0
+    other = ~np.eye(n, dtype=bool)
+    active = (np.abs(raw) < 1.0) & other
+    slope_d = np.zeros_like(d)
+    slope_d[active] = fn.slope(d[active])
+    unit = 10.0 * n * np.finfo(float).eps * w.max() * max(1.0, np.max(np.abs(fn.pieces()[1])))
+    assert np.max(np.abs(values - (fn.eval(d) * other) @ w)) <= unit * np.abs(s).max()
+    assert np.max(np.abs(slopes - slope_d @ w)) <= unit
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6, 2.0**52])
+def test_shifted_scores_beyond_2_10_take_the_dense_path(offset):
+    # max|s| <= 2^10 keeps the sorted path within its rounding bound of the
+    # pairwise loss; beyond it the dense path is exact to the reference
+    params = _sampled_params(19, block_denominator=False)
+    base = _wide_batch(4, 16, "detector")
+    batch = DetectionBatch(base.boxes, base.scores + offset, base.gt_boxes, base.assignment)
+    assert batch.scores.size >= N_SORTED
+    value, cache = loss_forward(batch, params)
+    assert (cache.f2d is None) == (offset < 2.0**10)
+    got = (value, *loss_backward(cache))
+    expected = _reference_loss(batch, params)
+    if cache.f2d is None:
+        tol = 1e-13 * offset
+        assert abs(got[0] - expected[0]) <= tol * max(abs(expected[0]), _value_scale(cache))
+        for actual, want in zip(got[1:], expected[1:]):
+            assert np.max(np.abs(actual - want)) <= tol * np.max(np.abs(want))
+    else:
+        assert got[0] == expected[0]
+        for actual, want in zip(got[1:], expected[1:]):
+            _assert_same_bits(actual, want)

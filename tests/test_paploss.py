@@ -369,7 +369,9 @@ def _frozen_denominator_forward(batch, params, scores, denom):
 class TestBackward:
     def fd_score(self, batch, params, k, h=1e-5):
         if params.block_denominator:
-            denom = loss_forward(batch, params)[1].denom
+            cache = loss_forward(batch, params)[1]
+            denom = np.ones_like(batch.scores)  # the positives' m_i, 1 at the negatives
+            denom[cache.rows] = cache.denom
 
             def at(delta):
                 s = batch.scores.copy()

@@ -1,5 +1,7 @@
 """Benchmark generator, toy detector and inner training loop."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -204,6 +206,22 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match="feature widths"):
             load_dataset(path)
 
+    def test_config_of_other_scenes_rejected(self, tmp_path):
+        # a config of 200 scenes of F = 6 over 20 scenes of F = 8
+        path = tmp_path / "other.json"
+        save_dataset(path, DatasetConfig(features=6), *generate(DatasetConfig(scenes=20)))
+        with pytest.raises(ConfigError, match="config F = 6"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["F", "A", "scenes"])
+    def test_config_key_disagreeing_with_scenes_rejected(self, tmp_path, key):
+        data = dataset_to_json_dict(SMALL, *generate(SMALL))
+        data["config"][key] += 1
+        path = tmp_path / "off_by_one.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"config {key} = "):
+            load_dataset(path)
+
     def test_dict_round_trip(self):
         train, eval_scenes = generate(SMALL)
         data = dataset_to_json_dict(SMALL, train, eval_scenes)
@@ -314,8 +332,7 @@ def _kink_margins_ok(raw, loss_cache, params, margin=1e-3):
     fns = resolve_functions(params)
     knots = np.unique(np.concatenate([f.control_points[1:-1, 0] for f in fns]))
     pos = loss_cache.batch.positive_mask
-    l_pos = loss_cache.l[pos]
-    values = np.concatenate([d_off, l_pos])
+    values = np.concatenate([d_off, loss_cache.l])
     if knots.size and np.min(np.abs(values[:, None] - knots[None, :])) < margin:
         return False
     # measure kinks: coordinate ties and grazing overlaps with the target
