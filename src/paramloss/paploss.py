@@ -37,7 +37,6 @@ log parameterization.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 # loc_scores and measure_grad stay importable from here, unused: the
 # benchmark's per-layer table (perfbench/workloads.py) wraps these bindings
@@ -57,6 +56,16 @@ HANDCRAFTED_KINDS = ("sigmoid", "sqrt", "linear", "square")
 # when f2 and f4 are piecewise; the measured crossover of the two paths'
 # forward plus backward time lies between 176 and 192 predictions
 N_SORTED = 192
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise.
+
+    Overflow of exp(-x) for x below about -709 gives exactly 0.0 and no
+    RuntimeWarning; the detector's score and the sigmoid baseline share it.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True, eq=False)

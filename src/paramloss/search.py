@@ -11,13 +11,14 @@ seed, round index and sample index, so serial and parallel execution
 produce identical histories.
 """
 
+import math
+import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import toybench
 from .errors import (
@@ -82,6 +83,24 @@ class SearchConfig:
         return cls(**{**merged, **data})
 
 
+# the arrays here are theta-sized, so a loop over Python floats (tolist()
+# rather than numpy scalars, which take twice as long) costs microseconds
+def _ndtr(x) -> np.ndarray:
+    """Standard normal CDF, elementwise: 0.5 erfc(-x / sqrt(2))."""
+    x = np.asarray(x, dtype=float)
+    values = [0.5 * math.erfc(v) for v in (-x / math.sqrt(2.0)).ravel().tolist()]
+    return np.array(values).reshape(x.shape)
+
+
+def _ndtri(p) -> np.ndarray:
+    """Standard normal quantile, elementwise; -inf at p <= 0 and +inf at p >= 1."""
+    p = np.asarray(p, dtype=float)
+    unit = statistics.NormalDist()
+    values = [-math.inf if v <= 0.0 else math.inf if v >= 1.0 else unit.inv_cdf(v)
+              for v in p.ravel().tolist()]
+    return np.array(values).reshape(p.shape)
+
+
 def sample_truncnorm(mu: np.ndarray, sigma: float, rng) -> np.ndarray:
     """Per-component normal(mu_c, sigma^2) truncated to [0, 1], inverse-CDF.
 
@@ -96,10 +115,10 @@ def sample_truncnorm(mu: np.ndarray, sigma: float, rng) -> np.ndarray:
         raise InvalidInputError("sigma must be non-negative")
     if sigma == 0.0:
         return mu.copy()
-    lo = ndtr(-mu / sigma)
-    hi = ndtr((1.0 - mu) / sigma)
+    lo = _ndtr(-mu / sigma)
+    hi = _ndtr((1.0 - mu) / sigma)
     u = rng.uniform(lo, hi)
-    x = mu + sigma * ndtri(u)
+    x = mu + sigma * _ndtri(u)
     return np.clip(x, _EPS, 1.0 - _EPS)
 
 
@@ -112,7 +131,7 @@ def truncnorm_logpdf(x: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise InvalidInputError("x components must lie in [0, 1]")
     z = (x - mu) / sigma
-    normalizer = ndtr((1.0 - mu) / sigma) - ndtr(-mu / sigma)
+    normalizer = _ndtr((1.0 - mu) / sigma) - _ndtr(-mu / sigma)
     return -0.5 * z**2 - 0.5 * np.log(2.0 * np.pi) - np.log(sigma) - np.log(normalizer)
 
 
@@ -122,7 +141,7 @@ def _dlogpdf_dmu(x: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
     lo = -mu / sigma
     hi = (1.0 - mu) / sigma
     phi = lambda t: np.exp(-0.5 * t**2) / np.sqrt(2.0 * np.pi)
-    z_norm = ndtr(hi) - ndtr(lo)
+    z_norm = _ndtr(hi) - _ndtr(lo)
     trunc_mean = mu + sigma * (phi(lo) - phi(hi)) / z_norm
     return (x - trunc_mean) / sigma**2
 
@@ -206,9 +225,11 @@ def _loss_params(config: SearchConfig, theta) -> LossParams:
                                 block_denominator=config.block_denominator)
 
 
-def _evaluate_sample(args) -> tuple[float, bool, float]:
-    """Train under one parameter set; diverged or unbuildable samples get 0."""
-    config, theta, train_set, eval_set, seed = args
+def _evaluate_sample(dataset, config: SearchConfig, theta,
+                     seed: int) -> tuple[float, bool, float]:
+    """Train under one parameter set on the (train, eval) scenes `dataset`;
+    diverged or unbuildable samples get 0."""
+    train_set, eval_set = dataset
     start = time.perf_counter()
     try:
         params = _loss_params(config, theta)
@@ -219,6 +240,20 @@ def _evaluate_sample(args) -> tuple[float, bool, float]:
         value = 0.0
         diverged = True
     return value, diverged, (time.perf_counter() - start) * 1000.0
+
+
+# a pool worker's dataset, set once by the pool's initializer, so that a task
+# carries only (config, theta, seed) and not the scenes
+_worker_dataset = None
+
+
+def _init_worker(dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _evaluate_in_worker(config: SearchConfig, theta, seed: int) -> tuple[float, bool, float]:
+    return _evaluate_sample(_worker_dataset, config, theta, seed)
 
 
 def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propose,
@@ -237,18 +272,22 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
         raise ConfigError("budget must be non-negative")
     if budget == 0:
         return None, []
-    train_set, eval_set = dataset
     history = []
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        # map() yields results in submission order, keeping parallel runs
-        # byte-identical to serial ones
-        evaluate = map if pool is None else pool.map
+    pool = (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(dataset,))
+            if jobs > 1 else nullcontext())
+    with pool:
         for t, done in enumerate(range(0, budget, config.S), start=1):
             thetas = [propose(t, np.random.default_rng([config.seed, t, i]))
                       for i in range(min(config.S, budget - done))]
-            tasks = [(config, theta, train_set, eval_set, _train_seed(config.seed, t, i))
-                     for i, theta in enumerate(thetas)]
-            results = list(evaluate(_evaluate_sample, tasks))
+            seeds = [_train_seed(config.seed, t, i) for i in range(len(thetas))]
+            # map() yields results in submission order, keeping parallel runs
+            # byte-identical to serial ones
+            if jobs > 1:
+                results = list(pool.map(_evaluate_in_worker, [config] * len(thetas),
+                                        thetas, seeds))
+            else:
+                results = [_evaluate_sample(dataset, config, theta, seed)
+                           for theta, seed in zip(thetas, seeds)]
             for i, (theta, (value, diverged, wall_ms)) in enumerate(zip(thetas, results)):
                 history.append({"round": t, "sample_index": i, "theta": theta.tolist(),
                                 "reward": value, "diverged": diverged, "wall_ms": wall_ms})

@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import paploss
 from .apmetric import (
@@ -352,7 +351,7 @@ def _model_apply(model: ToyModel, features: np.ndarray, anchors: np.ndarray):
         )
     u = np.tanh(x @ model.w1 + model.b1)
     out = u @ model.w2 + model.b2
-    scores = expit(out[:, 0])
+    scores = paploss.expit(out[:, 0])
     # columns 1:3 move the center, 3:5 scale the extent, each as an (x, y) pair
     move, size = out[:, 1:3], out[:, 3:5]
 

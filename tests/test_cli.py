@@ -2,6 +2,9 @@
 
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,3 +466,14 @@ class TestInputErrors:
         with pytest.raises(error, match="internal"):
             main(["train-eval", "--substitution", "linear", "--config", str(config),
                   "--out", str(tmp_path)])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only reference: the runtime takes its sigmoid from numpy
+    # and the normal CDF and quantile from the standard library
+    package_root = str(Path(paramloss.cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {package_root!r}); import paramloss.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

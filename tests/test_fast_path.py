@@ -22,7 +22,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from paramloss import geometry, paploss
 from paramloss.apmetric import DetectionBatch, loc_scores
@@ -159,7 +158,7 @@ def _reference_decode(model, features, anchors):
     """_model_apply written out per axis: (boxes, scores, cache)."""
     u = np.tanh(features @ model.w1 + model.b1)
     out = u @ model.w2 + model.b2
-    scores = expit(out[:, 0])
+    scores = paploss.expit(out[:, 0])
     corners, axes = {}, []
     for lo_col, hi_col, move, size in ((0, 2, out[:, 1], out[:, 3]),
                                        (1, 3, out[:, 2], out[:, 4])):

@@ -2,10 +2,12 @@
 differences, parameter plumbing, handcrafted baselines."""
 
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
 
 from paramloss.apmetric import DetectionBatch, ap_reformulated, loc_scores
 from paramloss.errors import (
@@ -18,6 +20,7 @@ from paramloss.paploss import (
     LossParams,
     LossResult,
     StepFn,
+    expit,
     handcrafted_substitution,
     lambda_from_theta,
     loss_backward,
@@ -179,6 +182,23 @@ class TestLossParams:
         xs = np.linspace(0.0, 1.0, 101)
         for f in fns:
             assert np.allclose(f.eval(xs), xs, atol=1e-12)
+
+
+class TestExpit:
+    """numpy's exp in scipy's formula: within a few ulp of scipy.special.expit."""
+
+    def test_matches_scipy_within_4_ulp(self):
+        x = np.concatenate([np.random.default_rng(17).normal(0.0, 8.0, 100_000),
+                            np.linspace(-800.0, 800.0, 16001),
+                            [-800.0, -745.0, 745.0, 800.0]])
+        ours, ref = expit(x), scipy_expit(x)
+        assert np.all(np.abs(ours - ref) <= 4 * np.spacing(ref))
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = expit(np.array([-800.0, -745.0, 745.0, 800.0, -np.inf, np.inf]))
+        assert values.tolist() == [0.0, 0.0, 1.0, 1.0, 0.0, 1.0]
 
 
 class TestHandcrafted:

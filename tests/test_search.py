@@ -1,9 +1,11 @@
 """Truncated-normal sampling, PPO2 surrogate, and the outer search loops."""
 
+from multiprocessing.reduction import ForkingPickler
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 import paramloss.toybench
 from paramloss.errors import ConfigError, InvalidInputError, TrainingDivergedError
@@ -11,6 +13,8 @@ from paramloss.paploss import LossParams
 from paramloss.search import (
     PROJECTION_MARGIN,
     SearchConfig,
+    _ndtr,
+    _ndtri,
     best_so_far_curve,
     clipped_surrogate_terms,
     ppo2_objective,
@@ -87,6 +91,29 @@ class TestSampleTruncnorm:
     def test_mu_outside_open_interval_rejected(self):
         with pytest.raises(InvalidInputError):
             sample_truncnorm(np.array([0.0, 0.5]), 0.2, np.random.default_rng(0))
+
+
+class TestNormalCdfAndQuantile:
+    """The standard library's erfc and NormalDist against scipy.special."""
+
+    def test_ndtr_matches_scipy(self):
+        x = np.concatenate([np.linspace(-37.0, 37.0, 20001),
+                            np.random.default_rng(7).uniform(-37.0, 37.0, 5000)])
+        assert np.allclose(_ndtr(x), ndtr(x), rtol=1e-10, atol=0.0)
+
+    def test_ndtri_matches_scipy(self):
+        p = np.concatenate([np.linspace(0.0, 1.0, 20001)[1:-1],
+                            np.random.default_rng(8).uniform(size=5000),
+                            np.logspace(-300, -1, 300), 1.0 - np.logspace(-16, -1, 100)])
+        assert np.allclose(_ndtri(p), ndtri(p), rtol=2e-15, atol=0.0)
+
+    def test_ndtri_is_infinite_at_the_ends(self):
+        assert _ndtri(np.array([0.0, 1.0, -0.5, 1.5])).tolist() == [
+            -np.inf, np.inf, -np.inf, np.inf]
+
+    def test_shape_kept(self):
+        assert _ndtr(np.zeros((2, 3))).shape == (2, 3)
+        assert _ndtri(np.full((3, 2), 0.5)).shape == (3, 2)
 
 
 class TestTruncnormLogpdf:
@@ -323,6 +350,29 @@ class TestRunSearch:
         best_par, hist_par = run_search(config, dataset=data, jobs=2)
         assert np.array_equal(best_serial.to_flat(), best_par.to_flat())
         assert _strip_wall(hist_serial) == _strip_wall(hist_par)
+
+    def test_pool_tasks_carry_no_scenes(self):
+        # the pool's initializer hands each worker the dataset once, so a task
+        # message holds only (config, theta, seed); with the scenes in it, one
+        # is about 83 kB on this dataset
+        data = generate(DatasetConfig(scenes=40, seed=3))
+        config = tiny_config(T=2, S=3, steps=1)
+        sizes = []
+        original = vars(ForkingPickler)["dumps"]
+
+        def dumps(obj, protocol=None):
+            message = original.__func__(ForkingPickler, obj, protocol)
+            sizes.append(len(message))
+            return message
+
+        ForkingPickler.dumps = staticmethod(dumps)
+        try:
+            _, history = random_search(config, dataset=data, jobs=2)
+        finally:
+            ForkingPickler.dumps = original
+        assert len(history) == config.T * config.S
+        assert len(sizes) >= config.T * config.S
+        assert max(sizes) < 10_000
 
 
 class TestRandomSearch:

@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from paramloss.apmetric import (
     COCO_THRESHOLDS,
@@ -19,7 +18,13 @@ from paramloss.errors import (
     TrainingDivergedError,
 )
 from paramloss.geometry import pairwise_iou
-from paramloss.paploss import LossParams, loss_backward, loss_forward, resolve_functions
+from paramloss.paploss import (
+    LossParams,
+    expit,
+    loss_backward,
+    loss_forward,
+    resolve_functions,
+)
 from paramloss.toybench import (
     DatasetConfig,
     Scene,
