@@ -125,15 +125,17 @@ def loc_scores(batch: DetectionBatch, measurement: str = "iou") -> np.ndarray:
     if np.any(pos):
         if measurement not in MEASUREMENTS:
             raise InvalidInputError(f"unknown measurement {measurement!r}")
-        out[pos] = _positive_loc_scores(batch, np.flatnonzero(pos), measurement)[0]
+        rows = np.flatnonzero(pos)
+        out[pos] = _positive_loc_scores(batch.gt_boxes[batch.assignment[rows]],
+                                        batch.boxes[rows], measurement)[0]
     return out
 
 
-def _positive_loc_scores(batch: DetectionBatch, rows: np.ndarray, measurement: str):
-    """(loc_scores at the positives rows, their gradients wrt those boxes),
-    from one overlap pass; the caller checks the measurement."""
-    vals, grads = _measure_arrays(batch.gt_boxes[batch.assignment[rows]], batch.boxes[rows],
-                                  measurement)
+def _positive_loc_scores(gt_rows: np.ndarray, box_rows: np.ndarray, measurement: str):
+    """(loc_scores of positive boxes against their assigned ground truths,
+    their gradients wrt those boxes), for paired (P, 4) arrays, from one
+    overlap pass; the caller checks the measurement."""
+    vals, grads = _measure_arrays(gt_rows, box_rows, measurement)
     if measurement == "giou":
         return (vals + 1.0) / 2.0, grads / 2.0
     return vals, grads

@@ -3,6 +3,8 @@
 Shared by the inner detector training and the outer distribution-mean
 ascent. Kept deliberately small: moment estimates with bias correction and
 an optional per-call learning-rate override (used for warmup schedules).
+An optimizer built with `rows` holds a stack of vectors, one per sample of
+a lockstep training, each with its own step count.
 """
 
 import numpy as np
@@ -14,14 +16,20 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
+def _descent(x, m, v, c1, c2, rate):
+    """x - rate * m_hat / (sqrt(v_hat) + EPS) with m_hat = m / c1, v_hat = v / c2."""
+    return x - rate * (m / c1) / (np.sqrt(v / c2) + EPS)
+
+
 class Adam:
-    def __init__(self, dim: int, lr: float):
+    def __init__(self, dim: int, lr: float, rows: int | None = None):
         if dim < 1 or lr <= 0.0:
             raise InvalidInputError("Adam needs dim >= 1 and lr > 0")
         self.lr = float(lr)
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
-        self.t = 0
+        shape = (dim,) if rows is None else (rows, dim)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.t = 0 if rows is None else [0] * rows
 
     def step(self, x: np.ndarray, grad: np.ndarray, lr: float | None = None) -> np.ndarray:
         """One descent step on x along grad; returns the updated vector."""
@@ -31,7 +39,38 @@ class Adam:
         self.t += 1
         self.m = BETA1 * self.m + (1.0 - BETA1) * g
         self.v = BETA2 * self.v + (1.0 - BETA2) * g * g
-        m_hat = self.m / (1.0 - BETA1**self.t)
-        v_hat = self.v / (1.0 - BETA2**self.t)
         rate = self.lr if lr is None else float(lr)
-        return np.asarray(x, dtype=float) - rate * m_hat / (np.sqrt(v_hat) + EPS)
+        return _descent(np.asarray(x, dtype=float), self.m, self.v,
+                        1.0 - BETA1**self.t, 1.0 - BETA2**self.t, rate)
+
+    def step_rows(self, x: np.ndarray, grad: np.ndarray, rows, lr: float | None = None):
+        """One descent step on each listed row of the (rows, dim) stack x
+        along the same row of grad, in place; the other rows keep their
+        values and step counts.
+
+        Each row equals Adam.step on that row alone bit for bit: the bias
+        corrections are Python floats from the row's own step count, since
+        numpy's power differs from ** in the last bit at some counts.
+        """
+        for r in rows:
+            self.t[r] += 1
+        counts = {self.t[r] for r in rows}
+        if len(counts) == 1:
+            # the common case: one step count, so one pair of scalars
+            t = counts.pop()
+            c1, c2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+        else:
+            c1 = np.array([1.0 - BETA1**self.t[r] for r in rows])[:, None]
+            c2 = np.array([1.0 - BETA2**self.t[r] for r in rows])[:, None]
+        rate = self.lr if lr is None else float(lr)
+        every = len(rows) == len(self.t)
+        # a full stack updates without gathering rows
+        pick = slice(None) if every else list(rows)
+        g = grad[pick]
+        m = BETA1 * self.m[pick] + (1.0 - BETA1) * g
+        v = BETA2 * self.v[pick] + (1.0 - BETA2) * g * g
+        if every:
+            self.m, self.v = m, v
+        else:
+            self.m[pick], self.v[pick] = m, v
+        x[pick] = _descent(x[pick], m, v, c1, c2, rate)

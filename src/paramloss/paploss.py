@@ -340,36 +340,110 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
         functions = resolve_functions(params)
     elif len(functions) != 5:
         raise InvalidInputError("functions override must supply exactly 5 functions")
-    f1, f2, f3, f4, f5 = functions
-
     rows = np.flatnonzero(batch.positive_mask)
     if rows.size == 0:
         raise EmptyPositiveError("loss requires at least one positive prediction")
-    l, loc_grads = _positive_loc_scores(batch, rows, params.measurement)
+    values, caches, _ = _forward([batch], [rows], batch.gt_boxes[batch.assignment[rows]],
+                                 batch.boxes[rows], [params], [functions],
+                                 _ShapeRows([functions]))
+    return values[0], caches[0]
 
+
+class _ShapeRows:
+    """f1, f3 and f5 of several rankings, evaluated at each positive's
+    localization score with the functions of the ranking it belongs to.
+
+    When every ranking shares one set of functions (a single ranking, or
+    one override for all), each function runs once over all rows.
+    Otherwise they are the PiecewiseFns of one segment count built from
+    each ranking's parameters, read from knot tables stacked once: a row's
+    segment is the number of its ranking's interior knots at or below it,
+    and its value is (x - x_k) * slope_k + y_k, PiecewiseFn._value's
+    arithmetic, so every row equals its own function's result bit for bit.
+    """
+
+    def __init__(self, functions):
+        picked = [(f[0], f[2], f[4]) for f in functions]
+        first = picked[0]
+        self.shared = first if all(a is b for p in picked for a, b in zip(p, first)) else None
+        if self.shared is not None:
+            return
+        fns = [fn for p in zip(*picked) for fn in p]  # f1 of every ranking, then f3, then f5
+        if not (all(isinstance(fn, PiecewiseFn) for fn in fns)
+                and len({fn.segments for fn in fns}) == 1):
+            raise InvalidInputError("rankings with their own shape functions need "
+                                    "PiecewiseFns of one segment count")
+        self.count = len(functions)
+        self.xs = np.stack([fn.control_points[:, 0] for fn in fns])  # (3 S, M + 1)
+        self.ys = np.stack([fn.control_points[:, 1] for fn in fns])
+        self.slopes = np.stack([fn.pieces()[1] for fn in fns])      # (3 S, M)
+
+    def eval_with_slope(self, x, active, counts):
+        """[(value, masked slope) of f1, of f3, of f5] at the rows x: the
+        first counts[0] rows belong to ranking 0, the next counts[1] to
+        ranking 1, and so on. Slopes are 0.0 off the active rows."""
+        if self.shared is not None:
+            return [fn.eval_with_slope(x, active) for fn in self.shared]
+        ranking = np.repeat(np.arange(self.count), counts)
+
+        def stacked(arr, mask):
+            # table row of each (function, row) pair: f1, f3, f5 of its ranking
+            cell = np.arange(0, 3 * self.count, self.count)[:, None] + ranking
+            knots = self.xs.shape[1]
+            idx = np.count_nonzero(arr[:, None] >= self.xs[cell, 1:-1], axis=2)
+            at = cell * knots + idx
+            slope = self.slopes.take(cell * (knots - 1) + idx)
+            value = (arr - self.xs.take(at)) * slope + self.ys.take(at)
+            return value, np.where(mask, slope, 0.0)
+
+        value, slope = on_unit_interval(stacked, x, active)
+        return list(zip(value, slope))
+
+
+def _forward(batches, rows, gt_rows, box_rows, params, functions, shapes):
+    """loss_forward of several joint rankings at once: (values, caches, rows).
+
+    Ranking k is batches[k], with the positive rows rows[k], loss parameters
+    params[k] (all of one measurement) and shape functions functions[k];
+    shapes is their _ShapeRows. gt_rows and box_rows hold the positives'
+    assigned ground truths and boxes, ranking after ranking. The positives'
+    localization scores and f1, f3 and f5 at them are computed for all
+    rankings at once, and the pair sums ranking by ranking. A ranking with
+    no rows gets None for its value and cache. Every cache holds views of
+    the stacked row arrays, returned as the third item for _box_row_grads.
+    """
+    counts = [r.size for r in rows]
+    l, loc_grads = _positive_loc_scores(gt_rows, box_rows, params[0].measurement)
     # a slope at l = 0 may diverge (sqrt), and the loc-score gradient there
     # is 0, so it is masked out
-    overlaps = l > 0.0
-    f1l, f1l_slope = f1.eval_with_slope(l, overlaps)
-    f3l, f3l_slope = f3.eval_with_slope(l, overlaps)
-    f5l, f5l_slope = f5.eval_with_slope(l, overlaps)
-
-    s = batch.scores
-    # a negative has l = 0, so its weight is 1 - f3(0) = 1
-    col_weights = np.ones_like(s)
-    col_weights[rows] = 1.0 - f3l
-    # the sorted path's prefix sums round at the scale of max|s| (_piece_sums)
-    sort = (s.size >= N_SORTED and isinstance(f2, PiecewiseFn)
-            and isinstance(f4, PiecewiseFn) and np.abs(s).max() <= 2.0**10)
-    pair_rows = _sorted_rows if sort else _dense_rows
-    numer, denom_sums, pair_fields = pair_rows(s, rows, f2, f4, col_weights,
-                                               params.block_denominator)
-    denom = 1.0 + denom_sums
-    value = -(f1l - (numer / denom) * f5l).sum() / rows.size
-
-    cache = LossCache(batch, params, functions, rows, l, col_weights, f5l,
-                      f1l_slope, f3l_slope, f5l_slope, numer, denom, loc_grads, **pair_fields)
-    return float(value), cache
+    (f1l, f1l_slope), (f3l, f3l_slope), (f5l, f5l_slope) = shapes.eval_with_slope(
+        l, l > 0.0, counts)
+    values, caches = [], []
+    end = 0
+    for batch, r, p, fns in zip(batches, rows, params, functions):
+        if r.size == 0:
+            values.append(None)
+            caches.append(None)
+            continue
+        part = slice(end, end + r.size)
+        end += r.size
+        s = batch.scores
+        # a negative has l = 0, so its weight is 1 - f3(0) = 1
+        col_weights = np.ones_like(s)
+        col_weights[r] = 1.0 - f3l[part]
+        _, f2, _, f4, _ = fns
+        # the sorted path's prefix sums round at the scale of max|s| (_piece_sums)
+        sort = (s.size >= N_SORTED and isinstance(f2, PiecewiseFn)
+                and isinstance(f4, PiecewiseFn) and np.abs(s).max() <= 2.0**10)
+        pair_rows = _sorted_rows if sort else _dense_rows
+        numer, denom_sums, pair_fields = pair_rows(s, r, f2, f4, col_weights,
+                                                   p.block_denominator)
+        denom = 1.0 + denom_sums
+        values.append(float(-(f1l[part] - (numer / denom) * f5l[part]).sum() / r.size))
+        caches.append(LossCache(batch, p, fns, r, l[part], col_weights, f5l[part],
+                                f1l_slope[part], f3l_slope[part], f5l_slope[part], numer,
+                                denom, loc_grads[part], **pair_fields))
+    return values, caches, (f1l_slope, f3l_slope, f5l_slope, loc_grads)
 
 
 def _dense_rows(s, rows, f2, f4, weights, block):
@@ -502,6 +576,18 @@ def loss_backward(cache: LossCache):
     gradients carry the lambda scale and are exactly zero for negative
     predictions.
     """
+    score_grads, cross = _score_grads(cache)
+    # loss_forward builds no cache for a batch without positives
+    box_grads = np.zeros_like(cache.batch.boxes)
+    box_grads[cache.rows] = _box_row_grads(
+        (cache.f1l_slope, cache.f3l_slope, cache.f5l_slope, cache.loc_grads), cache.numer,
+        cache.denom, cross, cache.rows.size, lambda_from_theta(cache.params.theta_lambda))
+    return score_grads, box_grads
+
+
+def _score_grads(cache: LossCache):
+    """(score gradients, cross) of one ranking: cross_k = sum_{i != k}
+    f5(l_i) / m_i f2(d_ki) is the f3 term's factor in _box_row_grads."""
     params = cache.params
     rows = cache.rows
     numer, denom, f5l = cache.numer, cache.denom, cache.f5l
@@ -513,14 +599,47 @@ def loss_backward(cache: LossCache):
     score_grads = _ranked_grad(g, *f2_sums, rows) / (2.0 * rows.size)
     if h is not None:
         score_grads -= _ranked_grad(h, *f4_sums, rows) / (2.0 * rows.size)
+    return score_grads, cross
 
-    # loss_forward builds no cache for a batch without positives
-    box_grads = np.zeros_like(cache.batch.boxes)
-    dsum_dl = cache.f1l_slope - (numer / denom) * cache.f5l_slope + cache.f3l_slope * cross
-    dl_dloss = -dsum_dl / rows.size
-    lam = lambda_from_theta(params.theta_lambda)
-    box_grads[rows] = lam * dl_dloss[:, None] * cache.loc_grads
-    return score_grads, box_grads
+
+def _box_row_grads(row_arrays, numer, denom, cross, count, lam):
+    """Box gradients of the loss at the positive rows, (R, 4).
+
+    row_arrays is (f1l_slope, f3l_slope, f5l_slope, loc_grads) at the rows;
+    count (the ranking's positives) and lam (its gradient scale) are
+    scalars for one ranking or (R,) and (R, 1) arrays for rows of several.
+    """
+    f1l_slope, f3l_slope, f5l_slope, loc_grads = row_arrays
+    dsum_dl = f1l_slope - (numer / denom) * f5l_slope + f3l_slope * cross
+    dl_dloss = -dsum_dl / count
+    return lam * dl_dloss[:, None] * loc_grads
+
+
+def _stack_grads(batches, rows, gt_rows, box_rows, params, functions, shapes):
+    """Loss values and gradients of several rankings at once, for
+    _forward's arguments: (values, score_grads, box_row_grads).
+
+    values[k] and score_grads[k] (N,) are ranking k's, None for a ranking
+    without rows; box_row_grads holds the positives' box gradients, ranking
+    after ranking, as loss_backward would scatter them. The box gradients
+    of all rankings are one stacked computation.
+    """
+    values, caches, row_arrays = _forward(batches, rows, gt_rows, box_rows, params, functions,
+                                          shapes)
+    score_grads, crosses = [], []
+    for cache in caches:
+        grads, cross = (None, None) if cache is None else _score_grads(cache)
+        score_grads.append(grads)
+        crosses.append(cross)
+    ranked = [(cache.numer, cache.denom, cross) for cache, cross in zip(caches, crosses)
+              if cache is not None]
+    numer, denom, cross = (parts[0] if len(parts) == 1 else np.concatenate(parts)
+                           for parts in zip(*ranked))
+    counts = np.array([r.size for r in rows])
+    lams = np.array([lambda_from_theta(p.theta_lambda) for p in params])
+    box_row_grads = _box_row_grads(row_arrays, numer, denom, cross, counts.repeat(counts),
+                                   lams.repeat(counts)[:, None])
+    return values, score_grads, box_row_grads
 
 
 def loss_with_grads(batch: DetectionBatch, params: LossParams, functions=None) -> LossResult:

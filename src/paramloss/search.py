@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     ConstraintViolationError,
     InvalidInputError,
-    TrainingDivergedError,
     check_field_types,
 )
 from .geometry import MEASUREMENTS
@@ -130,18 +129,26 @@ def truncnorm_logpdf(x: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise InvalidInputError("x components must lie in [0, 1]")
+    return _truncnorm_terms(x, mu, sigma)[0]
+
+
+def _truncnorm_terms(x: np.ndarray, mu: np.ndarray, sigma: float):
+    """(truncnorm_logpdf without its checks, the truncation normalizer Z)."""
     z = (x - mu) / sigma
     normalizer = _ndtr((1.0 - mu) / sigma) - _ndtr(-mu / sigma)
-    return -0.5 * z**2 - 0.5 * np.log(2.0 * np.pi) - np.log(sigma) - np.log(normalizer)
+    return (-0.5 * z**2 - 0.5 * np.log(2.0 * np.pi) - np.log(sigma) - np.log(normalizer),
+            normalizer)
 
 
-def _dlogpdf_dmu(x: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
+def _dlogpdf_dmu(x: np.ndarray, mu: np.ndarray, sigma: float, z_norm=None) -> np.ndarray:
     # d/dmu log p = (x - E[X_trunc]) / sigma^2, with the truncated mean
-    # mu + sigma (phi(lo) - phi(hi)) / Z
+    # mu + sigma (phi(lo) - phi(hi)) / Z; Z is computed here unless the
+    # caller has it from _truncnorm_terms at the same (mu, sigma)
     lo = -mu / sigma
     hi = (1.0 - mu) / sigma
     phi = lambda t: np.exp(-0.5 * t**2) / np.sqrt(2.0 * np.pi)
-    z_norm = _ndtr(hi) - _ndtr(lo)
+    if z_norm is None:
+        z_norm = _ndtr(hi) - _ndtr(lo)
     trunc_mean = mu + sigma * (phi(lo) - phi(hi)) / z_norm
     return (x - trunc_mean) / sigma**2
 
@@ -170,13 +177,18 @@ def ppo2_objective(thetas: np.ndarray, advantages: np.ndarray, mu: np.ndarray,
 
 
 def _ppo2_grad(thetas: np.ndarray, advantages: np.ndarray, mu: np.ndarray,
-               mu_t: np.ndarray, sigma: float, epsilon: float) -> np.ndarray:
+               mu_t: np.ndarray, sigma: float, epsilon: float, logpdf_t=None) -> np.ndarray:
+    """Gradient of ppo2_objective wrt mu; logpdf_t, when given, is
+    truncnorm_logpdf(thetas, mu_t, sigma), which does not depend on mu."""
+    if logpdf_t is None:
+        logpdf_t = truncnorm_logpdf(thetas, mu_t, sigma)
     adv = np.asarray(advantages)[:, None]
-    rho = np.exp(truncnorm_logpdf(thetas, mu, sigma) - truncnorm_logpdf(thetas, mu_t, sigma))
+    logpdf, z_norm = _truncnorm_terms(thetas, mu, sigma)
+    rho = np.exp(logpdf - logpdf_t)
     # the unclipped branch is active wherever it attains the min; on the
     # flat clipped branch the derivative is zero
     active = rho * adv <= np.clip(rho, 1.0 - epsilon, 1.0 + epsilon) * adv
-    d_rho = rho * _dlogpdf_dmu(thetas, mu, sigma)
+    d_rho = rho * _dlogpdf_dmu(thetas, mu, sigma, z_norm)
     grads = np.where(active, adv * d_rho, 0.0)
     # each mu_c appears in one component term per sample; the objective
     # averages over samples and components
@@ -206,9 +218,11 @@ def ppo2_update(samples, rewards, mu_t: np.ndarray, sigma: float, epsilon: float
         return np.asarray(mu_t, dtype=float).copy()
 
     mu = np.asarray(mu_t, dtype=float).copy()
+    # the sampling density's term of every ratio, the same on every iteration
+    logpdf_t = truncnorm_logpdf(thetas, mu_t, sigma)
     opt = Adam(mu.size, lr=base_lr)
     for k in range(iterations):
-        grad = _ppo2_grad(thetas, advantages, mu, mu_t, sigma, epsilon)
+        grad = _ppo2_grad(thetas, advantages, mu, mu_t, sigma, epsilon, logpdf_t)
         rate = base_lr * min(1.0, (k + 1) / warmup)
         mu = opt.step(mu, -grad, lr=rate)  # ascent
     return np.clip(mu, PROJECTION_MARGIN, 1.0 - PROJECTION_MARGIN)
@@ -225,25 +239,38 @@ def _loss_params(config: SearchConfig, theta) -> LossParams:
                                 block_denominator=config.block_denominator)
 
 
-def _evaluate_sample(dataset, config: SearchConfig, theta,
-                     seed: int) -> tuple[float, bool, float]:
-    """Train under one parameter set on the (train, eval) scenes `dataset`;
-    diverged or unbuildable samples get 0."""
+def _evaluate_chunk(dataset, config: SearchConfig, thetas,
+                    seeds) -> list[tuple[float, bool, float]]:
+    """Train and score samples in lockstep on the (train, eval) scenes
+    `dataset`: (reward, diverged, wall_ms) per sample, in order.
+
+    Diverged or unbuildable samples get 0. The chunk's wall time is split
+    evenly among its samples, so the wall_ms of a round's samples sum to
+    the time spent evaluating the round.
+    """
     train_set, eval_set = dataset
     start = time.perf_counter()
-    try:
-        params = _loss_params(config, theta)
-        model = toybench.train_inner(params, train_set, config.steps, seed)
-        value = toybench.reward(model, eval_set)
-        diverged = False
-    except (TrainingDivergedError, ConstraintViolationError):
-        value = 0.0
-        diverged = True
-    return value, diverged, (time.perf_counter() - start) * 1000.0
+    outcomes = [None] * len(thetas)
+    params, trained = [], []
+    for k, theta in enumerate(thetas):
+        try:
+            params.append(_loss_params(config, theta))
+            trained.append(k)
+        except ConstraintViolationError as exc:
+            outcomes[k] = exc
+    if params:
+        models = toybench._train_lockstep(params, train_set, config.steps,
+                                          [seeds[k] for k in trained])
+        for k, model in zip(trained, models):
+            outcomes[k] = model
+    results = [(0.0, True) if isinstance(outcome, Exception)
+               else (toybench.reward(outcome, eval_set), False) for outcome in outcomes]
+    wall_ms = (time.perf_counter() - start) * 1000.0 / len(thetas)
+    return [(value, diverged, wall_ms) for value, diverged in results]
 
 
 # a pool worker's dataset, set once by the pool's initializer, so that a task
-# carries only (config, theta, seed) and not the scenes
+# carries only (config, thetas, seeds) and not the scenes
 _worker_dataset = None
 
 
@@ -252,8 +279,8 @@ def _init_worker(dataset) -> None:
     _worker_dataset = dataset
 
 
-def _evaluate_in_worker(config: SearchConfig, theta, seed: int) -> tuple[float, bool, float]:
-    return _evaluate_sample(_worker_dataset, config, theta, seed)
+def _evaluate_in_worker(config: SearchConfig, thetas, seeds) -> list[tuple[float, bool, float]]:
+    return _evaluate_chunk(_worker_dataset, config, thetas, seeds)
 
 
 def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propose,
@@ -262,9 +289,11 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
 
     Round t draws sample i as propose(t, rng) with rng seeded from
     (master seed, t, i); a last round short of S samples happens only when
-    `budget` is not a multiple of S. After each round, update(t, thetas,
-    rewards), when given, returns the round record. Returns (best
-    LossParams, history); best is None when the budget is 0.
+    `budget` is not a multiple of S. A round trains as one lockstep chunk
+    at jobs 1, and as chunks of ceil(S / jobs) samples over the pool
+    otherwise. After each round, update(t, thetas, rewards), when given,
+    returns the round record. Returns (best LossParams, history); best is
+    None when the budget is 0.
     """
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
@@ -273,6 +302,7 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
     if budget == 0:
         return None, []
     history = []
+    chunk = -(-config.S // jobs)
     pool = (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(dataset,))
             if jobs > 1 else nullcontext())
     with pool:
@@ -280,14 +310,16 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
             thetas = [propose(t, np.random.default_rng([config.seed, t, i]))
                       for i in range(min(config.S, budget - done))]
             seeds = [_train_seed(config.seed, t, i) for i in range(len(thetas))]
-            # map() yields results in submission order, keeping parallel runs
-            # byte-identical to serial ones
             if jobs > 1:
-                results = list(pool.map(_evaluate_in_worker, [config] * len(thetas),
-                                        thetas, seeds))
+                starts = range(0, len(thetas), chunk)
+                # map() yields results in submission order, keeping parallel
+                # runs byte-identical to serial ones
+                parts = pool.map(_evaluate_in_worker, [config] * len(starts),
+                                 [thetas[a:a + chunk] for a in starts],
+                                 [seeds[a:a + chunk] for a in starts])
+                results = [result for part in parts for result in part]
             else:
-                results = [_evaluate_sample(dataset, config, theta, seed)
-                           for theta, seed in zip(thetas, seeds)]
+                results = _evaluate_chunk(dataset, config, thetas, seeds)
             for i, (theta, (value, diverged, wall_ms)) in enumerate(zip(thetas, results)):
                 history.append({"round": t, "sample_index": i, "theta": theta.tolist(),
                                 "reward": value, "diverged": diverged, "wall_ms": wall_ms})
@@ -305,7 +337,11 @@ def run_search(config: SearchConfig, dataset, jobs: int = 1):
     `dataset` is the in-memory (train scenes, eval scenes) pair. Returns
     (best LossParams, history). The history carries one record per sample
     {round, sample_index, theta, reward, diverged, wall_ms} and one record
-    per round {round, mu, sigma} holding the post-update mean.
+    per round {round, mu, sigma} holding the post-update mean. A round's
+    samples train in lockstep, in one chunk per job, and each sample's
+    wall_ms is its chunk's wall time split evenly among the chunk's
+    samples, so a round's wall_ms still sum to the time spent evaluating
+    it.
     """
     mu = LossParams.identity(M=config.M).to_flat()
 

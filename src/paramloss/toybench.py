@@ -19,6 +19,7 @@ ranking signal), and standard-normal distractor dimensions up to F.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,18 @@ from .apmetric import (
 from .apmetric import ap_pr_area  # noqa: F401
 from .errors import (
     ConfigError,
-    EmptyPositiveError,
+    ConstraintViolationError,
     InvalidInputError,
     TrainingDivergedError,
     check_field_types,
 )
 from .geometry import pairwise_iou, validate_boxes
 from .optim import Adam
-from .paploss import LossParams, loss_backward, loss_forward
+from .paploss import LossParams, loss_forward
+
+# loss_backward stays importable from here, unused: the benchmark wraps this
+# binding
+from .paploss import loss_backward  # noqa: F401
 
 ASSIGN_THRESHOLD = 0.5
 MIN_BOX_SIZE = 0.02
@@ -303,10 +308,6 @@ class ToyModel:
         if self.w2.shape != (self.w1.shape[1], 5) or self.b2.shape != (5,):
             raise InvalidInputError("output layer must map hidden -> 5")
 
-    @property
-    def n_features(self) -> int:
-        return self.w1.shape[0]
-
     @classmethod
     def init(cls, n_features: int, hidden: int, seed: int) -> "ToyModel":
         """Seeded start: random trunk, zero output heads."""
@@ -320,11 +321,20 @@ class ToyModel:
     def with_vector(self, vec: np.ndarray) -> "ToyModel":
         v = np.asarray(vec, dtype=float)
         f, h = self.w1.shape
-        sizes = [f * h, h, h * 5, 5]
-        if v.shape != (sum(sizes),):
+        if v.shape != (f * h + h + h * 5 + 5,):
             raise InvalidInputError("weight vector has the wrong length")
-        parts = np.split(v, np.cumsum(sizes)[:-1])
-        return ToyModel(parts[0].reshape(f, h), parts[1], parts[2].reshape(h, 5), parts[3])
+        return ToyModel(*_weight_views(v, f, h))
+
+
+def _weight_views(weights: np.ndarray, n_features: int, hidden: int):
+    """(w1, b1, w2, b2) as views of a (..., D) buffer laid out as
+    ToyModel.to_vector: (..., F, H), (..., H), (..., H, 5) and (..., 5)."""
+    lead = weights.shape[:-1]
+    ends = np.cumsum([n_features * hidden, hidden, hidden * 5]).tolist()
+    return (weights[..., :ends[0]].reshape(lead + (n_features, hidden)),
+            weights[..., ends[0]:ends[1]],
+            weights[..., ends[1]:ends[2]].reshape(lead + (hidden, 5)),
+            weights[..., ends[2]:])
 
 
 @dataclass(eq=False)
@@ -342,20 +352,25 @@ class _ForwardCache:
     out_hi: np.ndarray  # the decoded hi corner lay above 1 before the shift
 
 
-def _model_apply(model: ToyModel, features: np.ndarray, anchors: np.ndarray):
-    """Shared forward: returns (boxes, scores, cache)."""
+def _model_apply(model, features: np.ndarray, anchors: np.ndarray):
+    """Shared forward: returns (boxes, scores, cache).
+
+    model is one ToyModel on (N, F) features and (N, 4) anchors, or a
+    _WeightStack of S detectors on (S, N, F) and (S, N, 4) arrays; each
+    slice of a stack's results equals its detector's alone bit for bit.
+    """
     x = np.asarray(features, dtype=float)
-    if x.shape[1] != model.n_features:
+    if x.shape[-1] != model.w1.shape[-2]:
         raise InvalidInputError(
-            f"feature dimension {x.shape[1]} does not match model ({model.n_features})"
+            f"feature dimension {x.shape[-1]} does not match model ({model.w1.shape[-2]})"
         )
     u = np.tanh(x @ model.w1 + model.b1)
     out = u @ model.w2 + model.b2
-    scores = paploss.expit(out[:, 0])
+    scores = paploss.expit(out[..., 0])
     # columns 1:3 move the center, 3:5 scale the extent, each as an (x, y) pair
-    move, size = out[:, 1:3], out[:, 3:5]
+    move, size = out[..., 1:3], out[..., 3:5]
 
-    extent = anchors[:, 2:] - anchors[:, :2]
+    extent = anchors[..., 2:] - anchors[..., :2]
     cap_act = np.abs(size) < DELTA_CAP
     exp_size = np.exp(np.clip(size, -DELTA_CAP, DELTA_CAP))
     raw = extent * exp_size
@@ -364,19 +379,20 @@ def _model_apply(model: ToyModel, features: np.ndarray, anchors: np.ndarray):
     # corner-offset form: bitwise identity when both deltas are zero
     center_move = move * extent
     grow_half = (np.clip(raw, MIN_BOX_SIZE, 1.0) - extent) / 2.0
-    lo = anchors[:, :2] + center_move - grow_half
-    hi = anchors[:, 2:] + center_move + grow_half
-    boxes = np.concatenate(_shift_into_unit(lo, hi), axis=1)
+    lo = anchors[..., :2] + center_move - grow_half
+    hi = anchors[..., 2:] + center_move + grow_half
+    boxes = np.concatenate(_shift_into_unit(lo, hi), axis=-1)
 
     cache = _ForwardCache(x, u, scores, extent, exp_size, size_act, cap_act,
                           lo < 0.0, hi > 1.0)
     return boxes, scores, cache
 
 
-def _weight_grads(model: ToyModel, cache: _ForwardCache,
+def _weight_grads(model, cache: _ForwardCache,
                   score_grads: np.ndarray, box_grads: np.ndarray) -> np.ndarray:
-    """Chain loss gradients on (scores, boxes) back to a flat weight gradient."""
-    g_lo, g_hi = box_grads[:, :2], box_grads[:, 2:]
+    """Chain loss gradients on (scores, boxes) back to a flat weight gradient,
+    or to an (S, D) stack of them for a _WeightStack."""
+    g_lo, g_hi = box_grads[..., :2], box_grads[..., 2:]
     lo_out = cache.out_lo.astype(float)
     hi_out = cache.out_hi.astype(float)
     # a shift pins the corner that poked out to the edge and moves the other
@@ -389,13 +405,25 @@ def _weight_grads(model: ToyModel, cache: _ForwardCache,
     d_size = d_extent * cache.extent * cache.exp_size * cache.size_act * cache.cap_act
     g_logit = score_grads * cache.scores * (1.0 - cache.scores)
 
-    out_grad = np.column_stack([g_logit, d_move, d_size])
-    g_w2 = cache.hidden.T @ out_grad
-    g_b2 = out_grad.sum(axis=0)
-    g_hidden = (out_grad @ model.w2.T) * (1.0 - cache.hidden**2)
-    g_w1 = cache.features.T @ g_hidden
-    g_b1 = g_hidden.sum(axis=0)
-    return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    out_grad = np.concatenate([g_logit[..., None], d_move, d_size], axis=-1)
+    g_w2 = cache.hidden.swapaxes(-1, -2) @ out_grad
+    g_b2 = out_grad.sum(axis=-2)
+    g_hidden = (out_grad @ model.w2.swapaxes(-1, -2)) * (1.0 - cache.hidden**2)
+    g_w1 = cache.features.swapaxes(-1, -2) @ g_hidden
+    g_b1 = g_hidden.sum(axis=-2)
+    lead = out_grad.shape[:-2]
+    return np.concatenate([g.reshape(lead + (-1,)) for g in (g_w1, g_b1, g_w2, g_b2)],
+                          axis=-1)
+
+
+class _WeightStack:
+    """S detectors of HIDDEN units as views of the rows of one (S, D) weight
+    buffer: w1 (S, F, H), w2 (S, H, 5), and b1 (S, 1, H) and b2 (S, 1, 5),
+    which broadcast over each detector's N predictions."""
+
+    def __init__(self, weights: np.ndarray, n_features: int):
+        self.w1, b1, self.w2, b2 = _weight_views(weights, n_features, HIDDEN)
+        self.b1, self.b2 = b1[:, None], b2[:, None]
 
 
 def _scene_sizes(scenes, error=InvalidInputError):
@@ -440,7 +468,38 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     TrainingDivergedError on the first non-finite loss, gradient or weight.
     `functions` overrides the piecewise substitutions with explicit callables
     (used by the handcrafted-substitution comparisons); by default they are
-    built from params once per training.
+    built from params once per training. This is the one-sample call of
+    _train_lockstep.
+    """
+    outcome, = _train_lockstep([params], train_set, steps, [seed], batch_scenes=batch_scenes,
+                               lr=lr, functions=functions)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int = 8,
+                    lr: float = 0.02, functions=None) -> list:
+    """train_inner of several samples at once, as one stacked computation
+    per step.
+
+    Sample k trains under params[k] (all of one measurement) from seed
+    seeds[k], with its own shuffle; the samples share the train set,
+    steps, batch_scenes, lr and the `functions` override. Returns one
+    outcome per sample, in order: its trained ToyModel, or the
+    TrainingDivergedError or ConstraintViolationError that train_inner
+    raises for it alone. Each outcome equals that train_inner call's bit for
+    bit: the detector's forward and backward pass, the positives'
+    localization scores, f1, f3 and f5, the finiteness checks and Adam run
+    on stacks, while each sample's pair sums (the (P, N) or sorted kernel)
+    run on their own, because a stack of them is slower than its parts.
+
+    A sample whose parameters do not build never joins. A diverged sample
+    freezes at its step while the others go on, and a sample whose
+    mini-batch has no positives skips only its own update, so its Adam
+    step count does not advance. Train scenes of different anchor counts
+    give each sample batches of their own sizes, so such a set trains one
+    sample at a time.
     """
     if steps < 0:
         raise InvalidInputError("steps must be non-negative")
@@ -448,65 +507,122 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
         raise InvalidInputError("training needs at least one scene")
     if batch_scenes < 1:
         raise InvalidInputError("batch_scenes must be at least 1")
-    # stacked once: each step gathers its scenes' rows from these arrays
+    if functions is not None and len(functions) != 5:
+        raise InvalidInputError("functions override must supply exactly 5 functions")
+    if len({p.measurement for p in params}) > 1:
+        raise InvalidInputError("samples trained in lockstep share one measurement")
     n_anchor, _ = _scene_sizes(train_set)
+    if len(params) > 1 and np.any(n_anchor != n_anchor[0]):
+        return [outcome for p, seed in zip(params, seeds)
+                for outcome in _train_lockstep([p], train_set, steps, [seed],
+                                               batch_scenes=batch_scenes, lr=lr,
+                                               functions=functions)]
+    # stacked once: each step gathers its scenes' rows from these arrays
     all_feats, all_anchors, gts, all_assignment = _merge_scenes(train_set)
     all_rows = np.arange(all_feats.shape[0])
     scene_rows = [all_rows[end - n:end]
                   for end, n in zip(np.cumsum(n_anchor).tolist(), n_anchor.tolist())]
-    model = ToyModel.init(all_feats.shape[1], HIDDEN, seed)
+    n_features = all_feats.shape[1]
+    outcomes = [ToyModel.init(n_features, HIDDEN, seed) for seed in seeds]
     if steps == 0:
-        return model
-    if functions is None:
-        # built once, so an unbuildable theta raises ConstraintViolationError
-        # before the first step; called through the module so that a tracer
-        # wrapping paploss.resolve_functions sees it
-        functions = paploss.resolve_functions(params)
+        return outcomes
+    live, fns = [], []
+    for k, p in enumerate(params):
+        try:
+            # built once, so an unbuildable theta fails before the first
+            # step; called through the module so that a tracer wrapping
+            # paploss.resolve_functions sees it
+            fns.append(paploss.resolve_functions(p) if functions is None else functions)
+            live.append(k)
+        except ConstraintViolationError as exc:
+            outcomes[k] = exc
+    if not live:
+        return outcomes
 
-    shuffle_rng = np.random.default_rng([seed, 733])
     batch_scenes = min(batch_scenes, len(train_set))
-    order = []
-    weights = model.to_vector()
-    opt = Adam(weights.size, lr=lr)
-    # the model's arrays are views of this one buffer, which each step updates
-    # in place, so the weights are checked once here and then per step below
-    model = model.with_vector(weights)
+    shuffles = [np.random.default_rng([seeds[k], 733]) for k in live]
+    orders = [[] for _ in live]
+    # row j of the buffer is sample live[j]; every step updates it in place,
+    # so the weights are checked once here and then per step below
+    weights = np.stack([outcomes[k].to_vector() for k in live])
+    opt = Adam(weights.shape[1], lr=lr, rows=len(live))
+    model = _WeightStack(weights, n_features)
+    shapes = paploss._ShapeRows(fns)
 
     for step in range(steps):
-        if len(order) < batch_scenes:
-            order = list(shuffle_rng.permutation(len(train_set)))
-        rows = np.concatenate([scene_rows[i] for i in order[:batch_scenes]])
-        order = order[batch_scenes:]
+        picked = []
+        for j, shuffle in enumerate(shuffles):
+            if len(orders[j]) < batch_scenes:
+                orders[j] = list(shuffle.permutation(len(train_set)))
+            picked += orders[j][:batch_scenes]
+            orders[j] = orders[j][batch_scenes:]
+        rows = np.concatenate([scene_rows[i] for i in picked]).reshape(len(live), -1)
 
         boxes, scores, cache = _model_apply(model, all_feats[rows], all_anchors[rows])
-        degenerate = np.any(boxes[:, 2:] - boxes[:, :2] <= 0.0)
-        if degenerate or not (np.all(np.isfinite(boxes)) and np.all(np.isfinite(scores))):
-            raise TrainingDivergedError(step)
-        # every DetectionBatch check already holds: the boxes are finite and
-        # non-degenerate and the scores finite (checked just above), the
-        # ground truths are the whole train set's, from validated Scenes, and
-        # the gathered rows of _merge_scenes's int64 assignment index into
-        # them. The loss reads only gt_boxes[assignment[positives]], so the
-        # ground truths of scenes this batch did not pick are never read.
-        batch = DetectionBatch._trusted(boxes, scores, gts, all_assignment[rows])
-        try:
-            value, loss_cache = loss_forward(batch, params, functions)
-        except EmptyPositiveError:
-            continue
-        score_grads, box_grads = loss_backward(loss_cache)
-        if not (np.isfinite(value) and np.all(np.isfinite(score_grads))
-                and np.all(np.isfinite(box_grads))):
-            raise TrainingDivergedError(step)
-        grad = _weight_grads(model, cache, score_grads, box_grads)
-        if not np.all(np.isfinite(grad)):
-            raise TrainingDivergedError(step)
-        # linear step-size decay: collapses the seed-to-seed spread of the
-        # final weights by an order of magnitude versus a constant rate
-        weights[:] = opt.step(weights, grad, lr=lr * (1.0 - step / steps))
-        if not np.all(np.isfinite(weights)):
-            raise TrainingDivergedError(step)
+        failed = ((boxes[..., 2:] - boxes[..., :2] <= 0.0).any(axis=(1, 2))
+                  | ~np.isfinite(boxes).all(axis=(1, 2)) | ~np.isfinite(scores).all(axis=1))
+        assignment = all_assignment[rows]
+        positive = (assignment >= 0) & ~failed[:, None]
+        ranked = positive.any(axis=1)
+        if ranked.any():
+            score_grads, box_grads = _loss_grads(shapes, [params[k] for k in live], fns, boxes,
+                                                 scores, gts, assignment, positive, failed)
+            grad = _weight_grads(model, cache, score_grads, box_grads)
+            failed |= ranked & ~np.isfinite(grad).all(axis=1)
+        update = np.flatnonzero(ranked & ~failed).tolist()
+        if update:
+            # linear step-size decay: collapses the seed-to-seed spread of
+            # the final weights by an order of magnitude versus a constant rate
+            opt.step_rows(weights, grad, update, lr=lr * (1.0 - step / steps))
+            # the rows left out kept their finite weights
+            failed |= ~np.isfinite(weights).all(axis=1)
+        if failed.any():
+            keep = np.flatnonzero(~failed).tolist()
+            for j in np.flatnonzero(failed).tolist():
+                outcomes[live[j]] = TrainingDivergedError(step)
+            if not keep:
+                return outcomes
+            live, fns, shuffles, orders = ([x[j] for j in keep]
+                                           for x in (live, fns, shuffles, orders))
+            weights = weights[keep]
+            opt.m, opt.v, opt.t = opt.m[keep], opt.v[keep], [opt.t[j] for j in keep]
+            model = _WeightStack(weights, n_features)
+            shapes = paploss._ShapeRows(fns)
 
-    return model
+    for j, k in enumerate(live):
+        outcomes[k] = outcomes[k].with_vector(weights[j])
+    return outcomes
+
+
+def _loss_grads(shapes, params, fns, boxes, scores, gts, assignment, positive, failed):
+    """Score and box gradients, (S, N) and (S, N, 4), of each sample's loss
+    on its mini-batch; a sample whose loss value or gradients are not
+    finite is set in failed, and its gradients are left at 0."""
+    # every DetectionBatch check already holds: the boxes are finite and
+    # non-degenerate and the scores finite wherever a sample has positives
+    # (failed samples have none), the ground truths are the whole train
+    # set's, from validated Scenes, and the gathered rows of _merge_scenes's
+    # int64 assignment index into them. The loss reads only
+    # gt_boxes[assignment[positives]], so the ground truths of scenes a
+    # batch did not pick are never read.
+    batches = [DetectionBatch._trusted(b, s, gts, a) for b, s, a in zip(boxes, scores, assignment)]
+    values, sample_grads, box_rows = paploss._stack_grads(
+        batches, [np.flatnonzero(p) for p in positive], gts[assignment[positive]],
+        boxes[positive], params, fns, shapes)
+    score_grads = np.zeros(scores.shape)
+    box_grads = np.zeros(boxes.shape)
+    for j, grads in enumerate(sample_grads):
+        if grads is not None:
+            score_grads[j] = grads
+    box_grads[positive] = box_rows
+    finite = np.isfinite(score_grads).all(axis=1) & np.isfinite(box_grads).all(axis=(1, 2))
+    bad = [j for j, value in enumerate(values)
+           if value is not None and not (math.isfinite(value) and finite[j])]
+    if bad:
+        score_grads[bad] = 0.0
+        box_grads[bad] = 0.0
+        failed[bad] = True
+    return score_grads, box_grads
 
 
 def reward(model: ToyModel, eval_scenes) -> float:

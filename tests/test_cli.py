@@ -121,10 +121,11 @@ class TestSearchCommand:
         assert resolved["search"]["T"] == 1 and resolved["search"]["steps"] == 2
 
     def test_all_diverged_exits_runtime(self, tmp_path, dataset_dir, monkeypatch):
-        def always_diverges(*args, **kwargs):
-            raise TrainingDivergedError(0)
+        def always_diverges(params, *args, **kwargs):
+            return [TrainingDivergedError(0) for _ in params]
 
-        monkeypatch.setattr(paramloss.toybench, "train_inner", always_diverges)
+        # the search trains each round through the lockstep trainer
+        monkeypatch.setattr(paramloss.toybench, "_train_lockstep", always_diverges)
         config = _search_config_file(tmp_path, dataset_dir)
         out = tmp_path / "dead"
         assert main(["search", "--config", str(config), "--out", str(out)]) == EXIT_RUNTIME

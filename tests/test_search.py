@@ -7,8 +7,10 @@ import pytest
 from scipy.integrate import simpson
 from scipy.special import ndtr, ndtri
 
+import paramloss.search
 import paramloss.toybench
 from paramloss.errors import ConfigError, InvalidInputError, TrainingDivergedError
+from paramloss.optim import Adam
 from paramloss.paploss import LossParams
 from paramloss.search import (
     PROJECTION_MARGIN,
@@ -269,6 +271,53 @@ class TestPPO2Update:
         b = ppo2_update(thetas, rewards, mu_t, 0.15, 0.1)
         assert np.array_equal(a, b)
 
+    @staticmethod
+    def _reference_update(thetas, rewards, mu_t, sigma, epsilon=0.1, iterations=100,
+                          base_lr=0.01, warmup=30):
+        """ppo2_update with both log-densities and the truncation normalizer
+        computed afresh on every iteration; also returns how many ratios sat
+        on the clipped and on the unclipped branch."""
+        advantages = rewards - rewards.mean()
+        adv = advantages[:, None]
+        mu = mu_t.copy()
+        opt = Adam(mu.size, lr=base_lr)
+        branches = [0, 0]
+        for k in range(iterations):
+            rho = np.exp(truncnorm_logpdf(thetas, mu, sigma)
+                         - truncnorm_logpdf(thetas, mu_t, sigma))
+            active = rho * adv <= np.clip(rho, 1.0 - epsilon, 1.0 + epsilon) * adv
+            branches[0] += int(np.count_nonzero(~active))
+            branches[1] += int(np.count_nonzero(active))
+            lo, hi = -mu / sigma, (1.0 - mu) / sigma
+            phi = lambda t: np.exp(-0.5 * t**2) / np.sqrt(2.0 * np.pi)
+            trunc_mean = mu + sigma * (phi(lo) - phi(hi)) / (_ndtr(hi) - _ndtr(lo))
+            d_rho = rho * ((thetas - trunc_mean) / sigma**2)
+            grad = np.where(active, adv * d_rho, 0.0).mean(axis=0) / thetas.shape[1]
+            mu = opt.step(mu, -grad, lr=base_lr * min(1.0, (k + 1) / warmup))
+        return np.clip(mu, PROJECTION_MARGIN, 1.0 - PROJECTION_MARGIN), branches
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hoisted_update_equals_per_iteration_reference(self, seed, monkeypatch):
+        rng = np.random.default_rng([seed, 41])
+        mu_t = rng.uniform(0.2, 0.8, 41)
+        sigma = 0.2
+        thetas = np.stack([sample_truncnorm(mu_t, sigma, rng) for _ in range(4)])
+        rewards = rng.uniform(0.0, 1.0, 4)
+        expected, (clipped, unclipped) = self._reference_update(thetas, rewards, mu_t, sigma)
+        assert clipped > 0 and unclipped > 0
+        calls = []
+        real = paramloss.search._ndtr
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return real(x)
+
+        monkeypatch.setattr(paramloss.search, "_ndtr", counted)
+        out = ppo2_update(thetas, rewards, mu_t, sigma)
+        assert np.array_equal(out, expected)
+        # two for the sampling density once, then two per iteration
+        assert len(calls) == 2 + 2 * 100
+
 
 def _strip_wall(history):
     return [{k: v for k, v in record.items() if k != "wall_ms"} for record in history]
@@ -328,15 +377,19 @@ class TestRunSearch:
 
     def test_diverged_samples_survive(self, data, monkeypatch):
         calls = {"n": 0}
-        real = paramloss.toybench.train_inner
+        real = paramloss.toybench._train_lockstep
 
-        def sometimes_diverges(params, train_set, steps, seed, **kwargs):
-            calls["n"] += 1
-            if calls["n"] % 2 == 0:
-                raise TrainingDivergedError(3)
-            return real(params, train_set, steps, seed, **kwargs)
+        # the search trains each round through the lockstep trainer; every
+        # second sample it trains diverges
+        def sometimes_diverges(params, train_set, steps, seeds, **kwargs):
+            outcomes = real(params, train_set, steps, seeds, **kwargs)
+            for k in range(len(outcomes)):
+                calls["n"] += 1
+                if calls["n"] % 2 == 0:
+                    outcomes[k] = TrainingDivergedError(3)
+            return outcomes
 
-        monkeypatch.setattr(paramloss.toybench, "train_inner", sometimes_diverges)
+        monkeypatch.setattr(paramloss.toybench, "_train_lockstep", sometimes_diverges)
         best, history = run_search(tiny_config(T=2, S=2, steps=2), dataset=data)
         samples = [r for r in history if "reward" in r]
         flagged = [r for r in samples if r["diverged"]]
