@@ -52,25 +52,17 @@ class Adam:
         corrections are Python floats from the row's own step count, since
         numpy's power differs from ** in the last bit at some counts.
         """
-        for r in rows:
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = []
+        for r in rows.tolist():
             self.t[r] += 1
-        counts = {self.t[r] for r in rows}
-        if len(counts) == 1:
-            # the common case: one step count, so one pair of scalars
-            t = counts.pop()
-            c1, c2 = 1.0 - BETA1**t, 1.0 - BETA2**t
-        else:
-            c1 = np.array([1.0 - BETA1**self.t[r] for r in rows])[:, None]
-            c2 = np.array([1.0 - BETA2**self.t[r] for r in rows])[:, None]
+            counts.append(self.t[r])
+        c1 = np.array([1.0 - BETA1**t for t in counts])[:, None]
+        c2 = np.array([1.0 - BETA2**t for t in counts])[:, None]
         rate = self.lr if lr is None else float(lr)
-        every = len(rows) == len(self.t)
-        # a full stack updates without gathering rows
-        pick = slice(None) if every else list(rows)
-        g = grad[pick]
-        m = BETA1 * self.m[pick] + (1.0 - BETA1) * g
-        v = BETA2 * self.v[pick] + (1.0 - BETA2) * g * g
-        if every:
-            self.m, self.v = m, v
-        else:
-            self.m[pick], self.v[pick] = m, v
-        x[pick] = _descent(x[pick], m, v, c1, c2, rate)
+        # take gathers rows faster than fancy indexing
+        g = grad.take(rows, axis=0)
+        m = BETA1 * self.m.take(rows, axis=0) + (1.0 - BETA1) * g
+        v = BETA2 * self.v.take(rows, axis=0) + (1.0 - BETA2) * g * g
+        self.m[rows], self.v[rows] = m, v
+        x[rows] = _descent(x.take(rows, axis=0), m, v, c1, c2, rate)

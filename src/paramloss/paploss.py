@@ -633,8 +633,7 @@ def _stack_grads(batches, rows, gt_rows, box_rows, params, functions, shapes):
         crosses.append(cross)
     ranked = [(cache.numer, cache.denom, cross) for cache, cross in zip(caches, crosses)
               if cache is not None]
-    numer, denom, cross = (parts[0] if len(parts) == 1 else np.concatenate(parts)
-                           for parts in zip(*ranked))
+    numer, denom, cross = (np.concatenate(parts) for parts in zip(*ranked))
     counts = np.array([r.size for r in rows])
     lams = np.array([lambda_from_theta(p.theta_lambda) for p in params])
     box_row_grads = _box_row_grads(row_arrays, numer, denom, cross, counts.repeat(counts),

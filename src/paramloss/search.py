@@ -140,15 +140,13 @@ def _truncnorm_terms(x: np.ndarray, mu: np.ndarray, sigma: float):
             normalizer)
 
 
-def _dlogpdf_dmu(x: np.ndarray, mu: np.ndarray, sigma: float, z_norm=None) -> np.ndarray:
+def _dlogpdf_dmu(x: np.ndarray, mu: np.ndarray, sigma: float, z_norm) -> np.ndarray:
     # d/dmu log p = (x - E[X_trunc]) / sigma^2, with the truncated mean
-    # mu + sigma (phi(lo) - phi(hi)) / Z; Z is computed here unless the
-    # caller has it from _truncnorm_terms at the same (mu, sigma)
+    # mu + sigma (phi(lo) - phi(hi)) / Z; Z is the normalizer that
+    # _truncnorm_terms returns at the same (mu, sigma)
     lo = -mu / sigma
     hi = (1.0 - mu) / sigma
     phi = lambda t: np.exp(-0.5 * t**2) / np.sqrt(2.0 * np.pi)
-    if z_norm is None:
-        z_norm = _ndtr(hi) - _ndtr(lo)
     trunc_mean = mu + sigma * (phi(lo) - phi(hi)) / z_norm
     return (x - trunc_mean) / sigma**2
 
@@ -177,11 +175,9 @@ def ppo2_objective(thetas: np.ndarray, advantages: np.ndarray, mu: np.ndarray,
 
 
 def _ppo2_grad(thetas: np.ndarray, advantages: np.ndarray, mu: np.ndarray,
-               mu_t: np.ndarray, sigma: float, epsilon: float, logpdf_t=None) -> np.ndarray:
-    """Gradient of ppo2_objective wrt mu; logpdf_t, when given, is
+               logpdf_t: np.ndarray, sigma: float, epsilon: float) -> np.ndarray:
+    """Gradient of ppo2_objective wrt mu; logpdf_t is the sampling density's
     truncnorm_logpdf(thetas, mu_t, sigma), which does not depend on mu."""
-    if logpdf_t is None:
-        logpdf_t = truncnorm_logpdf(thetas, mu_t, sigma)
     adv = np.asarray(advantages)[:, None]
     logpdf, z_norm = _truncnorm_terms(thetas, mu, sigma)
     rho = np.exp(logpdf - logpdf_t)
@@ -222,7 +218,7 @@ def ppo2_update(samples, rewards, mu_t: np.ndarray, sigma: float, epsilon: float
     logpdf_t = truncnorm_logpdf(thetas, mu_t, sigma)
     opt = Adam(mu.size, lr=base_lr)
     for k in range(iterations):
-        grad = _ppo2_grad(thetas, advantages, mu, mu_t, sigma, epsilon, logpdf_t)
+        grad = _ppo2_grad(thetas, advantages, mu, logpdf_t, sigma, epsilon)
         rate = base_lr * min(1.0, (k + 1) / warmup)
         mu = opt.step(mu, -grad, lr=rate)  # ascent
     return np.clip(mu, PROJECTION_MARGIN, 1.0 - PROJECTION_MARGIN)

@@ -540,6 +540,7 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
         return outcomes
 
     batch_scenes = min(batch_scenes, len(train_set))
+    live_params = [params[k] for k in live]
     shuffles = [np.random.default_rng([seeds[k], 733]) for k in live]
     orders = [[] for _ in live]
     # row j of the buffer is sample live[j]; every step updates it in place,
@@ -565,12 +566,12 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
         positive = (assignment >= 0) & ~failed[:, None]
         ranked = positive.any(axis=1)
         if ranked.any():
-            score_grads, box_grads = _loss_grads(shapes, [params[k] for k in live], fns, boxes,
-                                                 scores, gts, assignment, positive, failed)
+            score_grads, box_grads = _loss_grads(shapes, live_params, fns, boxes, scores, gts,
+                                                 assignment, positive, failed)
             grad = _weight_grads(model, cache, score_grads, box_grads)
             failed |= ranked & ~np.isfinite(grad).all(axis=1)
-        update = np.flatnonzero(ranked & ~failed).tolist()
-        if update:
+        update = np.flatnonzero(ranked & ~failed)
+        if update.size:
             # linear step-size decay: collapses the seed-to-seed spread of
             # the final weights by an order of magnitude versus a constant rate
             opt.step_rows(weights, grad, update, lr=lr * (1.0 - step / steps))
@@ -582,8 +583,8 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
                 outcomes[live[j]] = TrainingDivergedError(step)
             if not keep:
                 return outcomes
-            live, fns, shuffles, orders = ([x[j] for j in keep]
-                                           for x in (live, fns, shuffles, orders))
+            live, live_params, fns, shuffles, orders = (
+                [x[j] for j in keep] for x in (live, live_params, fns, shuffles, orders))
             weights = weights[keep]
             opt.m, opt.v, opt.t = opt.m[keep], opt.v[keep], [opt.t[j] for j in keep]
             model = _WeightStack(weights, n_features)

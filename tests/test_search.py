@@ -193,7 +193,8 @@ class TestPPO2Objective:
             if np.min(np.abs(rho - 1.1)) < 1e-3 or np.min(np.abs(rho - 0.9)) < 1e-3:
                 continue
             from paramloss.search import _ppo2_grad
-            analytic = _ppo2_grad(thetas, advantages, mu, mu_t, sigma, 0.1)
+            analytic = _ppo2_grad(thetas, advantages, mu, truncnorm_logpdf(thetas, mu_t, sigma),
+                                  sigma, 0.1)
             h = 1e-6
             fd = np.empty_like(mu)
             for c in range(mu.size):
@@ -217,10 +218,12 @@ class TestPPO2Objective:
         theta_bad = np.array([0.3, 0.8, 0.62])
         thetas = np.stack([theta_good, theta_bad])
         advantages = np.array([0.5, -0.5])
-        from paramloss.search import _dlogpdf_dmu, _ppo2_grad
-        grad = _ppo2_grad(thetas, advantages, mu_t, mu_t, sigma, 0.1)
-        expected_sign = np.sign(_dlogpdf_dmu(theta_good, mu_t, sigma)
-                                - _dlogpdf_dmu(theta_bad, mu_t, sigma))
+        from paramloss.search import _dlogpdf_dmu, _ppo2_grad, _truncnorm_terms
+        grad = _ppo2_grad(thetas, advantages, mu_t, truncnorm_logpdf(thetas, mu_t, sigma),
+                          sigma, 0.1)
+        z_norm = _truncnorm_terms(theta_good, mu_t, sigma)[1]
+        expected_sign = np.sign(_dlogpdf_dmu(theta_good, mu_t, sigma, z_norm)
+                                - _dlogpdf_dmu(theta_bad, mu_t, sigma, z_norm))
         assert np.all(np.sign(grad) == expected_sign)
         h = 1e-7
         for c in range(3):
