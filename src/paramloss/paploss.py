@@ -409,8 +409,9 @@ def _forward(batches, rows, gt_rows, box_rows, params, functions, shapes):
     assigned ground truths and boxes, ranking after ranking. The positives'
     localization scores and f1, f3 and f5 at them are computed for all
     rankings at once, and the pair sums ranking by ranking. A ranking with
-    no rows gets None for its value and cache. Every cache holds views of
-    the stacked row arrays, returned as the third item for _box_row_grads.
+    no rows gets nan for its value and None for its cache. Every cache
+    holds views of the stacked row arrays, returned as the third item for
+    _box_row_grads.
     """
     counts = [r.size for r in rows]
     l, loc_grads = _positive_loc_scores(gt_rows, box_rows, params[0].measurement)
@@ -422,7 +423,7 @@ def _forward(batches, rows, gt_rows, box_rows, params, functions, shapes):
     end = 0
     for batch, r, p, fns in zip(batches, rows, params, functions):
         if r.size == 0:
-            values.append(None)
+            values.append(np.nan)
             caches.append(None)
             continue
         part = slice(end, end + r.size)
@@ -615,30 +616,34 @@ def _box_row_grads(row_arrays, numer, denom, cross, count, lam):
     return lam * dl_dloss[:, None] * loc_grads
 
 
-def _stack_grads(batches, rows, gt_rows, box_rows, params, functions, shapes):
-    """Loss values and gradients of several rankings at once, for
-    _forward's arguments: (values, score_grads, box_row_grads).
-
-    values[k] and score_grads[k] (N,) are ranking k's, None for a ranking
-    without rows; box_row_grads holds the positives' box gradients, ranking
-    after ranking, as loss_backward would scatter them. The box gradients
-    of all rankings are one stacked computation.
+def _stack_grads(boxes, scores, gt_boxes, assignment, positive, params, functions, shapes,
+                 lams):
+    """Loss values (S,), score gradients (S, N) and box gradients (S, N, 4)
+    of S joint rankings at once: ranking k ranks the predictions
+    (boxes[k], scores[k]) under assignment[k] into gt_boxes, with the
+    positives positive[k], params[k] (all of one measurement), functions[k]
+    and gradient scale lams[k]; shapes is their _ShapeRows. A ranking
+    without positives gets a nan value and zero gradients.
     """
-    values, caches, row_arrays = _forward(batches, rows, gt_rows, box_rows, params, functions,
-                                          shapes)
-    score_grads, crosses = [], []
-    for cache in caches:
-        grads, cross = (None, None) if cache is None else _score_grads(cache)
-        score_grads.append(grads)
-        crosses.append(cross)
-    ranked = [(cache.numer, cache.denom, cross) for cache, cross in zip(caches, crosses)
-              if cache is not None]
+    # the caller holds every DetectionBatch invariant on the rows it ranks,
+    # and the loss reads only the positives' ground truths
+    batches = [DetectionBatch._trusted(b, s, gt_boxes, a)
+               for b, s, a in zip(boxes, scores, assignment)]
+    rows = [np.flatnonzero(p) for p in positive]
+    values, caches, row_arrays = _forward(batches, rows, gt_boxes[assignment[positive]],
+                                          boxes[positive], params, functions, shapes)
+    score_grads = np.zeros(scores.shape)
+    ranked = []
+    for k, cache in enumerate(caches):
+        if cache is not None:
+            score_grads[k], cross = _score_grads(cache)
+            ranked.append((cache.numer, cache.denom, cross))
     numer, denom, cross = (np.concatenate(parts) for parts in zip(*ranked))
     counts = np.array([r.size for r in rows])
-    lams = np.array([lambda_from_theta(p.theta_lambda) for p in params])
-    box_row_grads = _box_row_grads(row_arrays, numer, denom, cross, counts.repeat(counts),
-                                   lams.repeat(counts)[:, None])
-    return values, score_grads, box_row_grads
+    box_grads = np.zeros(boxes.shape)
+    box_grads[positive] = _box_row_grads(row_arrays, numer, denom, cross, counts.repeat(counts),
+                                         lams.repeat(counts)[:, None])
+    return np.array(values), score_grads, box_grads
 
 
 def loss_with_grads(batch: DetectionBatch, params: LossParams, functions=None) -> LossResult:

@@ -69,6 +69,8 @@ class SearchConfig:
             raise ConfigError(f"unknown measurement {self.measurement!r}")
         if self.steps < 0:
             raise ConfigError("steps must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -44,6 +44,7 @@ from .errors import (
     InvalidInputError,
     TrainingDivergedError,
     check_field_types,
+    check_value_type,
 )
 from .geometry import pairwise_iou, validate_boxes
 from .optim import Adam
@@ -84,6 +85,8 @@ class DatasetConfig:
             raise ConfigError("feature dimension must be at least 5 (4 coords + ranking signal)")
         if not (np.isfinite(self.noise) and self.noise >= 0.0):
             raise ConfigError("noise must be a finite non-negative real")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     def to_json_dict(self) -> dict:
         return {"scenes": self.scenes, "G_max": self.g_max, "A": self.anchors,
@@ -465,7 +468,9 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     updates over shuffled mini-batches of scenes; all predictions of a
     mini-batch form one joint ranking. A mini-batch without positives is
     skipped (the step is consumed without an update). Raises
-    TrainingDivergedError on the first non-finite loss, gradient or weight.
+    TrainingDivergedError on the first non-finite loss, gradient or weight,
+    and InvalidInputError for steps, batch_scenes or a seed that is not an
+    integer in range, or an lr that is not finite and positive.
     `functions` overrides the piecewise substitutions with explicit callables
     (used by the handcrafted-substitution comparisons); by default they are
     built from params once per training. This is the one-sample call of
@@ -494,19 +499,25 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
     on stacks, while each sample's pair sums (the (P, N) or sorted kernel)
     run on their own, because a stack of them is slower than its parts.
 
-    A sample whose parameters do not build never joins. A diverged sample
-    freezes at its step while the others go on, and a sample whose
-    mini-batch has no positives skips only its own update, so its Adam
-    step count does not advance. Train scenes of different anchor counts
-    give each sample batches of their own sizes, so such a set trains one
-    sample at a time.
+    A sample whose parameters do not build never joins the stack, which
+    then keeps its size for the whole training. A diverged sample's row
+    stays in it with zero weights and no positives, so it neither updates
+    nor fails again while the others go on, and the training ends once
+    every row has diverged. A sample whose mini-batch has no positives
+    skips only its own update, so its Adam step count does not advance.
+    Train scenes of different anchor counts give each sample batches of
+    their own sizes, so such a set trains one sample at a time.
     """
-    if steps < 0:
-        raise InvalidInputError("steps must be non-negative")
+    for name, value, least in [("steps", steps, 0), ("batch_scenes", batch_scenes, 1),
+                               *(("seed", seed, 0) for seed in seeds)]:
+        check_value_type(name, int, value, InvalidInputError)
+        if value < least:
+            raise InvalidInputError(f"{name} must be at least {least}, got {value}")
     if not train_set:
         raise InvalidInputError("training needs at least one scene")
-    if batch_scenes < 1:
-        raise InvalidInputError("batch_scenes must be at least 1")
+    check_value_type("lr", float, lr, InvalidInputError)
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise InvalidInputError(f"lr must be finite and positive, got {lr}")
     if functions is not None and len(functions) != 5:
         raise InvalidInputError("functions override must supply exactly 5 functions")
     if len({p.measurement for p in params}) > 1:
@@ -539,37 +550,39 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
     if not live:
         return outcomes
 
-    batch_scenes = min(batch_scenes, len(train_set))
     live_params = [params[k] for k in live]
-    shuffles = [np.random.default_rng([seeds[k], 733]) for k in live]
-    orders = [[] for _ in live]
+    lams = np.array([paploss.lambda_from_theta(p.theta_lambda) for p in live_params])
     # row j of the buffer is sample live[j]; every step updates it in place,
     # so the weights are checked once here and then per step below
     weights = np.stack([outcomes[k].to_vector() for k in live])
     opt = Adam(weights.shape[1], lr=lr, rows=len(live))
     model = _WeightStack(weights, n_features)
     shapes = paploss._ShapeRows(fns)
+    done = np.zeros(len(live), dtype=bool)
 
-    for step in range(steps):
-        picked = []
-        for j, shuffle in enumerate(shuffles):
-            if len(orders[j]) < batch_scenes:
-                orders[j] = list(shuffle.permutation(len(train_set)))
-            picked += orders[j][:batch_scenes]
-            orders[j] = orders[j][batch_scenes:]
+    schedule = _batch_schedule(len(train_set), batch_scenes, steps, [seeds[k] for k in live])
+    for step, picked in enumerate(schedule):
         rows = np.concatenate([scene_rows[i] for i in picked]).reshape(len(live), -1)
-
         boxes, scores, cache = _model_apply(model, all_feats[rows], all_anchors[rows])
-        failed = ((boxes[..., 2:] - boxes[..., :2] <= 0.0).any(axis=(1, 2))
-                  | ~np.isfinite(boxes).all(axis=(1, 2)) | ~np.isfinite(scores).all(axis=1))
+        # a frozen row's zero weights give its anchors' boxes, which may
+        # collapse; it must not fail a second time
+        failed = ~done & ((boxes[..., 2:] - boxes[..., :2] <= 0.0).any(axis=(1, 2))
+                          | ~np.isfinite(boxes).all(axis=(1, 2))
+                          | ~np.isfinite(scores).all(axis=1))
         assignment = all_assignment[rows]
-        positive = (assignment >= 0) & ~failed[:, None]
+        positive = (assignment >= 0) & ~(failed | done)[:, None]
         ranked = positive.any(axis=1)
         if ranked.any():
-            score_grads, box_grads = _loss_grads(shapes, live_params, fns, boxes, scores, gts,
-                                                 assignment, positive, failed)
+            values, score_grads, box_grads = paploss._stack_grads(
+                boxes, scores, gts, assignment, positive, live_params, fns, shapes, lams)
+            finite = ~ranked | (np.isfinite(values) & np.isfinite(score_grads).all(axis=1)
+                                & np.isfinite(box_grads).all(axis=(1, 2)))
+            if not finite.all():
+                # zeroed so that the backprop of the other rows raises no warning
+                score_grads[~finite] = 0.0
+                box_grads[~finite] = 0.0
             grad = _weight_grads(model, cache, score_grads, box_grads)
-            failed |= ranked & ~np.isfinite(grad).all(axis=1)
+            failed |= ~finite | (ranked & ~np.isfinite(grad).all(axis=1))
         update = np.flatnonzero(ranked & ~failed)
         if update.size:
             # linear step-size decay: collapses the seed-to-seed spread of
@@ -578,52 +591,35 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
             # the rows left out kept their finite weights
             failed |= ~np.isfinite(weights).all(axis=1)
         if failed.any():
-            keep = np.flatnonzero(~failed).tolist()
             for j in np.flatnonzero(failed).tolist():
                 outcomes[live[j]] = TrainingDivergedError(step)
-            if not keep:
+            done |= failed
+            if done.all():
                 return outcomes
-            live, live_params, fns, shuffles, orders = (
-                [x[j] for j in keep] for x in (live, live_params, fns, shuffles, orders))
-            weights = weights[keep]
-            opt.m, opt.v, opt.t = opt.m[keep], opt.v[keep], [opt.t[j] for j in keep]
-            model = _WeightStack(weights, n_features)
-            shapes = paploss._ShapeRows(fns)
+            # finite, so the frozen row's forward pass raises no warning
+            weights[failed] = 0.0
 
     for j, k in enumerate(live):
-        outcomes[k] = outcomes[k].with_vector(weights[j])
+        if not done[j]:
+            outcomes[k] = outcomes[k].with_vector(weights[j])
     return outcomes
 
 
-def _loss_grads(shapes, params, fns, boxes, scores, gts, assignment, positive, failed):
-    """Score and box gradients, (S, N) and (S, N, 4), of each sample's loss
-    on its mini-batch; a sample whose loss value or gradients are not
-    finite is set in failed, and its gradients are left at 0."""
-    # every DetectionBatch check already holds: the boxes are finite and
-    # non-degenerate and the scores finite wherever a sample has positives
-    # (failed samples have none), the ground truths are the whole train
-    # set's, from validated Scenes, and the gathered rows of _merge_scenes's
-    # int64 assignment index into them. The loss reads only
-    # gt_boxes[assignment[positives]], so the ground truths of scenes a
-    # batch did not pick are never read.
-    batches = [DetectionBatch._trusted(b, s, gts, a) for b, s, a in zip(boxes, scores, assignment)]
-    values, sample_grads, box_rows = paploss._stack_grads(
-        batches, [np.flatnonzero(p) for p in positive], gts[assignment[positive]],
-        boxes[positive], params, fns, shapes)
-    score_grads = np.zeros(scores.shape)
-    box_grads = np.zeros(boxes.shape)
-    for j, grads in enumerate(sample_grads):
-        if grads is not None:
-            score_grads[j] = grads
-    box_grads[positive] = box_rows
-    finite = np.isfinite(score_grads).all(axis=1) & np.isfinite(box_grads).all(axis=(1, 2))
-    bad = [j for j, value in enumerate(values)
-           if value is not None and not (math.isfinite(value) and finite[j])]
-    if bad:
-        score_grads[bad] = 0.0
-        box_grads[bad] = 0.0
-        failed[bad] = True
-    return score_grads, box_grads
+def _batch_schedule(n_scenes: int, batch_scenes: int, steps: int, seeds):
+    """Yields the scenes of each step's mini-batches, one list of S * b
+    scene indices per step, sample by sample, with b = min(batch_scenes,
+    n_scenes). Each epoch is one permutation of the scenes from each seed's
+    shuffle stream, dealt into batches of b, and a remainder smaller than a
+    batch is dropped; the epochs are drawn one at a time."""
+    batch_scenes = min(batch_scenes, n_scenes)
+    per_epoch = n_scenes // batch_scenes
+    shuffles = [np.random.default_rng([seed, 733]) for seed in seeds]
+    for step in range(steps):
+        if step % per_epoch == 0:
+            deal = np.stack([s.permutation(n_scenes)[:per_epoch * batch_scenes]
+                             for s in shuffles]).reshape(len(seeds), per_epoch, -1)
+            deal = deal.swapaxes(0, 1).reshape(per_epoch, -1).tolist()
+        yield deal[step % per_epoch]
 
 
 def reward(model: ToyModel, eval_scenes) -> float:

@@ -89,9 +89,10 @@ class TestLocScores:
 
     def test_vector_matches_scalar(self):
         batch = self.make_batch()
-        vec = loc_scores(batch, "giou")
-        for i in range(3):
-            assert vec[i] == loc_score(batch, i, "giou")
+        for kind in ("iou", "giou", "l1"):
+            vec = loc_scores(batch, kind)
+            for i in range(3):
+                assert vec[i] == loc_score(batch, i, kind)
 
     def test_index_out_of_range(self):
         with pytest.raises(InvalidInputError):

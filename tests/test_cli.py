@@ -455,6 +455,17 @@ class TestInputErrors:
         bad.write_text(line + "\n")
         assert main(["compare", str(good), str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", [["generate", "--seed", "-1"], ["search", "--seed", "-3"],
+                                         ["train-eval", "--substitution", "linear", "--seed",
+                                          "-3"]], ids=["generate", "search", "train-eval"])
+    def test_negative_seed_exits_config(self, tmp_path, dataset_dir, command):
+        config = _search_config_file(tmp_path, dataset_dir)
+        if command[0] == "generate":
+            config.write_text(json.dumps(TINY_DATASET))
+        out = tmp_path / "neg"
+        assert main([*command, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     @pytest.mark.parametrize("error", [ValueError, KeyError])
     def test_internal_error_is_not_a_config_error(self, tmp_path, dataset_dir, monkeypatch,
                                                   error):

@@ -3,10 +3,13 @@
 _train_lockstep stacks the small per-row work of several samples' steps
 (the detector's forward and backward pass, the positives' localization
 scores, f1, f3 and f5, the finiteness checks and Adam) and keeps each
-sample's pair sums on their own. Every test compares a chunk with separate
-train_inner calls by exact equality of the weights and of the reward, for
-chunks of 1 to 4 samples, including samples that diverge, do not build, or
-meet a mini-batch without positives while the others train on.
+sample's pair sums on their own. The chunk tests compare a chunk with
+separate train_inner calls by exact equality of the weights and of the
+reward, for chunks of 1 to 4 samples, including samples that diverge, do
+not build, or meet a mini-batch without positives while the others train
+on. Adam and the mini-batch schedule, dealt one epoch at a time, are
+checked against independent test-side references: a textbook Adam and the
+rule of one shuffled list per sample.
 """
 
 import json
@@ -14,14 +17,21 @@ import json
 import numpy as np
 import pytest
 
-from paramloss.errors import ConstraintViolationError, TrainingDivergedError
+from paramloss.apmetric import assign
+from paramloss.errors import (
+    ConstraintViolationError,
+    InvalidInputError,
+    TrainingDivergedError,
+)
 from paramloss.optim import Adam
 from paramloss.paploss import N_SORTED, LossParams
 from paramloss.piecewise import RatioParams
 from paramloss.search import SearchConfig, random_search, run_search, sample_truncnorm
 from paramloss.toybench import (
+    ASSIGN_THRESHOLD,
     DatasetConfig,
     Scene,
+    _batch_schedule,
     _train_lockstep,
     generate,
     reward,
@@ -94,6 +104,33 @@ def test_diverged_sample_freezes_at_its_step(size):
     assert steps == [5, 8, 5, 7][-size:]
 
 
+def _with_huge_box(scene):
+    """The scene with one more ground truth, [0, 0, 1e20, 1e20], and its
+    first candidate moved onto it. A frozen row's zero weights keep that
+    candidate's box, which collapses in the shift into the unit square."""
+    huge = np.array([0.0, 0.0, 1e20, 1e20])
+    anchors = scene.anchors.copy()
+    anchors[0] = huge
+    gts = np.vstack([huge, scene.gt_boxes])
+    return Scene(gts, anchors, scene.features, assign(anchors, gts, ASSIGN_THRESHOLD),
+                 scene.source)
+
+
+def test_frozen_row_does_not_fail_again():
+    train, eval_set = generate(SMALL)
+    train = (_with_huge_box(train[0]),) + train[5:12]
+    seeds = [34, 35, 36, 37]
+    chunk = _assert_chunk_matches_separate(_sampled(4), train, seeds, eval_set, lr=1e13,
+                                           batch_scenes=2)
+    ended = [o.step if isinstance(o, TrainingDivergedError) else STEPS for o in chunk]
+    assert ended == [3, 4, STEPS, 1]
+    # some diverged sample's mini-batch takes the scene again while another
+    # sample still trains
+    assert any(0 in batch and ended[k] < step < max(ended)
+               for k, seed in enumerate(seeds)
+               for step, batch in enumerate(_list_rule_batches(len(train), 2, STEPS, seed)))
+
+
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 def test_unbuildable_sample_never_joins(size):
     train, eval_set = generate(SMALL)
@@ -126,15 +163,8 @@ def test_sample_without_positives_skips_only_its_own_update(size):
     empty = {k for k, s in enumerate(train) if np.all(s.assignment < 0)}
     skipped = []
     for seed in seeds:
-        rng = np.random.default_rng([seed, 733])
-        order = []
-        steps = set()
-        for step in range(STEPS):
-            if not order:
-                order = list(rng.permutation(len(train)))
-            if order.pop(0) in empty:
-                steps.add(step)
-        skipped.append(steps)
+        batches = _list_rule_batches(len(train), 1, STEPS, seed)
+        skipped.append({step for step, batch in enumerate(batches) if batch[0] in empty})
     if size >= 2:
         assert any(a != b for a in skipped for b in skipped)
     assert all(not isinstance(o, Exception) for o in chunk)
@@ -175,6 +205,37 @@ def test_shared_override_functions_equal_separate_trainings():
                                    functions=functions)
 
 
+def _textbook_adam(x, grad, state, lr):
+    """One Adam step as the textbook writes it, from state (m, v, t): the
+    bias corrections are Python floats, and m and v update in the same
+    operation order as optim.Adam's, so the result agrees bit for bit."""
+    m, v, t = state
+    t += 1
+    m = 0.9 * m + (1.0 - 0.9) * grad
+    v = 0.999 * v + (1.0 - 0.999) * grad * grad
+    m_hat = m / (1.0 - 0.9**t)
+    v_hat = v / (1.0 - 0.999**t)
+    return x - lr * m_hat / (np.sqrt(v_hat) + 1e-8), (m, v, t)
+
+
+def test_adam_step_equals_textbook_adam():
+    rng = np.random.default_rng(1)
+    dim, steps = 7, 300
+    x = rng.normal(size=dim)
+    opt = Adam(dim, lr=0.02)
+    expected, state = x.copy(), (np.zeros(dim), np.zeros(dim), 0)
+    for step in range(steps):
+        grad = rng.normal(size=dim)
+        lr = 0.02 * (1.0 - step / steps)
+        before = x.copy()
+        moved = opt.step(x, grad, lr=lr)
+        assert np.array_equal(x, before)
+        expected, state = _textbook_adam(expected, grad, state, lr)
+        assert np.array_equal(moved, expected) and not np.array_equal(moved, x)
+        x = moved
+    assert opt.t == [steps]
+
+
 def test_stacked_adam_equals_per_row_steps():
     # the rows advance at different step counts, t = 1 ... 300, and some
     # rows sit out some steps
@@ -182,19 +243,56 @@ def test_stacked_adam_equals_per_row_steps():
     rows, dim, steps = 4, 7, 300
     x = rng.normal(size=(rows, dim))
     stacked = Adam(dim, lr=0.02, rows=rows)
-    single = [Adam(dim, lr=0.02) for _ in range(rows)]
     expected = [x[r].copy() for r in range(rows)]
+    states = [(np.zeros(dim), np.zeros(dim), 0) for _ in range(rows)]
     for step in range(steps):
         grad = rng.normal(size=(rows, dim))
         update = [r for r in range(rows) if r == 0 or (step + r) % (r + 1) != 0]
         lr = 0.02 * (1.0 - step / steps)
         stacked.step_rows(x, grad, update, lr=lr)
         for r in update:
-            expected[r] = single[r].step(expected[r], grad[r], lr=lr)
+            expected[r], states[r] = _textbook_adam(expected[r], grad[r], states[r], lr)
         for r in range(rows):
             assert np.array_equal(x[r], expected[r])
-    assert stacked.t == [opt.t for opt in single]
+    assert stacked.t == [t for _, _, t in states]
     assert stacked.t[0] == steps and len(set(stacked.t)) == rows
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
+def test_adam_rejects_a_non_finite_or_non_positive_lr(lr):
+    with pytest.raises(InvalidInputError):
+        Adam(3, lr=lr)
+
+
+def _list_rule_batches(n_scenes, batch_scenes, steps, seed):
+    """train_inner's mini-batches by the rule of one shuffled list per
+    sample: a new permutation whenever fewer than a batch of scenes are left."""
+    rng = np.random.default_rng([seed, 733])
+    batch_scenes = min(batch_scenes, n_scenes)
+    order, batches = [], []
+    for _ in range(steps):
+        if len(order) < batch_scenes:
+            order = list(rng.permutation(n_scenes))
+        batches.append(order[:batch_scenes])
+        order = order[batch_scenes:]
+    return batches
+
+
+@pytest.mark.parametrize("n_scenes, batch_scenes, steps", [
+    (5, 8, 7),       # a batch larger than the scene count
+    (10, 3, 12),     # 10 scenes in batches of 3: one scene dropped per epoch
+    (10, 4, 1),      # one step
+    (12, 4, 40),     # many epochs of whole batches
+    (160, 8, 300),   # the desk preset's training
+])
+def test_batch_schedule_equals_list_rule(n_scenes, batch_scenes, steps):
+    seeds = [0, 7, 2**40]
+    for k in range(len(seeds)):
+        # every step lists the chunk's samples' batches one after another
+        chunk = seeds[k:]
+        want = [sum(batches, []) for batches in
+                zip(*(_list_rule_batches(n_scenes, batch_scenes, steps, s) for s in chunk))]
+        assert list(_batch_schedule(n_scenes, batch_scenes, steps, chunk)) == want
 
 
 def _strip_wall(history):

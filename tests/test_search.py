@@ -46,7 +46,7 @@ class TestSearchConfig:
     @pytest.mark.parametrize("kwargs", [
         {"T": 0}, {"S": 0}, {"sigma0": -0.1}, {"M": 1},
         {"measurement": "chamfer"}, {"steps": -1},
-        {"steps": True}, {"seed": None}, {"sigma0": True},
+        {"steps": True}, {"seed": None}, {"seed": -3}, {"sigma0": True},
         {"block_denominator": "false"}, {"block_denominator": 0},
         # the PPO2 update's own settings are not search config keys
         {"epsilon": 0.1}, {"inner_iterations": 100}, {"inner_lr": 0.01},

@@ -77,6 +77,7 @@ class TestDatasetConfig:
         {"features": 4},
         {"noise": -0.1},
         {"noise": float("nan")},
+        {"seed": -1},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -422,6 +423,17 @@ class TestTrainInner:
         with pytest.raises(InvalidInputError, match="batch_scenes"):
             train_inner(LossParams.identity(), train, steps=1, seed=0,
                         batch_scenes=batch_scenes)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"steps": 2.5}, {"steps": True}, {"batch_scenes": 2.5}, {"batch_scenes": True},
+        {"seed": 1.0}, {"seed": True}, {"seed": -1},
+        {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0}, {"lr": "0.02"},
+    ])
+    def test_malformed_argument_rejected(self, kwargs):
+        # an input error, not a TypeError or a divergence at step 0
+        train, _ = generate(SMALL)
+        with pytest.raises(InvalidInputError):
+            train_inner(LossParams.identity(), train, **{"steps": 3, "seed": 0, **kwargs})
 
     def test_deterministic(self):
         train, _ = generate(SMALL)
