@@ -13,7 +13,6 @@ from .apmetric import (
     ap_ranked,
     ap_reformulated,
     assign,
-    loc_score,
     loc_scores,
 )
 from .errors import (
@@ -29,13 +28,11 @@ from .geometry import Box, giou, giou_grad, iou, l1_score, measure, measure_grad
 from .paploss import (
     HANDCRAFTED_KINDS,
     LossParams,
-    LossResult,
     StepFn,
     handcrafted_substitution,
     lambda_from_theta,
     loss_backward,
     loss_forward,
-    loss_with_grads,
     resolve_functions,
 )
 from .piecewise import PiecewiseFn, RatioParams, build, identity_params
@@ -64,14 +61,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "COCO_THRESHOLDS", "DetectionBatch", "ap_pr_area", "ap_ranked",
-    "ap_reformulated", "assign", "loc_score", "loc_scores",
+    "ap_reformulated", "assign", "loc_scores",
     "ParamLossError", "InvalidInputError", "ConstraintViolationError",
     "DomainError", "EmptyPositiveError", "TrainingDivergedError", "ConfigError",
     "Box", "iou", "giou", "giou_grad", "l1_score", "measure", "measure_grad",
     "pairwise_iou",
-    "HANDCRAFTED_KINDS", "LossParams", "LossResult", "StepFn",
-    "handcrafted_substitution", "lambda_from_theta", "loss_backward",
-    "loss_forward", "loss_with_grads", "resolve_functions",
+    "HANDCRAFTED_KINDS", "LossParams", "StepFn", "handcrafted_substitution",
+    "lambda_from_theta", "loss_backward", "loss_forward", "resolve_functions",
     "PiecewiseFn", "RatioParams", "build", "identity_params",
     "SearchConfig", "best_so_far_curve", "ppo2_update", "random_search",
     "run_search", "sample_truncnorm", "truncnorm_logpdf",

@@ -61,20 +61,6 @@ class DetectionBatch:
         object.__setattr__(self, "gt_boxes", gt)
         object.__setattr__(self, "assignment", asg.astype(np.int64))
 
-    @classmethod
-    def _trusted(cls, boxes, scores, gt_boxes, assignment) -> "DetectionBatch":
-        """A batch of arrays that already meet every __post_init__ check,
-        stored as given without checking them again.
-
-        For loops that establish those invariants once upstream: float
-        (N, 4) finite non-degenerate boxes, (N,) finite float scores,
-        validated ground truths and an int64 assignment indexing them.
-        """
-        batch = object.__new__(cls)
-        vars(batch).update(boxes=boxes, scores=scores, gt_boxes=gt_boxes,
-                           assignment=assignment)
-        return batch
-
     @property
     def positive_mask(self) -> np.ndarray:
         return self.assignment >= 0
@@ -139,13 +125,6 @@ def _positive_loc_scores(gt_rows: np.ndarray, box_rows: np.ndarray, measurement:
     if measurement == "giou":
         return (vals + 1.0) / 2.0, grads / 2.0
     return vals, grads
-
-
-def loc_score(batch: DetectionBatch, i: int, measurement: str = "iou") -> float:
-    """Localization score of a single prediction."""
-    if not 0 <= i < batch.boxes.shape[0]:
-        raise InvalidInputError(f"prediction index {i} out of range")
-    return float(loc_scores(batch, measurement)[i])
 
 
 def ap_ranked(scores, positive_mask) -> float:

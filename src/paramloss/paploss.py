@@ -134,13 +134,6 @@ def handcrafted_substitution(kind: str):
     raise InvalidInputError(f"unknown substitution kind {kind!r}")
 
 
-def normalize_score_diff(s_j: float, s_i: float) -> float:
-    """Map a score difference into [0, 1]: clip to [-1, 1], then rescale."""
-    if not (np.isfinite(s_j) and np.isfinite(s_i)):
-        raise InvalidInputError("scores must be finite")
-    return float((np.clip(s_j - s_i, -1.0, 1.0) + 1.0) / 2.0)
-
-
 def lambda_from_theta(theta_lambda: float) -> float:
     """Gradient scale from its searched log parameterization.
 
@@ -267,8 +260,8 @@ def resolve_functions(params: LossParams) -> tuple:
 class LossCache:
     """Intermediates reused by the backward pass, for P positives of N.
 
-    Per-prediction values are kept for the positives i = rows[k] alone;
-    the one (N,) vector is the column weights of the numerator sums.
+    Per-prediction values are kept for the positives i = rows[k] alone; the
+    (N,) vectors are the scores and the numerator sums' column weights.
 
     On the dense path (see loss_forward) the cache holds three (P, N)
     arrays, O(P·N): row k belongs to the k-th positive i = rows[k], and the
@@ -280,7 +273,7 @@ class LossCache:
     with l > 0, and exactly 0.0 elsewhere; there the loc-score gradient is 0.
     """
 
-    batch: DetectionBatch
+    scores: np.ndarray       # (N,) the ranking's classification scores
     params: LossParams
     functions: tuple         # f1..f5
     rows: np.ndarray         # (P,) indices of the positives
@@ -300,24 +293,6 @@ class LossCache:
     # sorted path
     f2_row_slope: object = None  # (P,) sum_j f2'(d_ji) (1 - f3(l_j)) over the masked pairs
     f4_row_slope: object = None  # (P,) sum_j f4'(d_ji) over them; None under blocking
-
-
-@dataclass(frozen=True, eq=False)
-class LossResult:
-    """Loss value with analytic gradients; box rows are zero for negatives."""
-
-    value: float
-    score_grads: np.ndarray
-    box_grads: np.ndarray
-    positives_count: int
-
-    def __post_init__(self):
-        if not (
-            np.isfinite(self.value)
-            and np.all(np.isfinite(self.score_grads))
-            and np.all(np.isfinite(self.box_grads))
-        ):
-            raise InvalidInputError("loss produced non-finite values")
 
 
 def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
@@ -343,7 +318,7 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
     rows = np.flatnonzero(batch.positive_mask)
     if rows.size == 0:
         raise EmptyPositiveError("loss requires at least one positive prediction")
-    values, caches, _ = _forward([batch], [rows], batch.gt_boxes[batch.assignment[rows]],
+    values, caches, _ = _forward([batch.scores], [rows], batch.gt_boxes[batch.assignment[rows]],
                                  batch.boxes[rows], [params], [functions],
                                  _ShapeRows([functions]))
     return values[0], caches[0]
@@ -400,18 +375,18 @@ class _ShapeRows:
         return list(zip(value, slope))
 
 
-def _forward(batches, rows, gt_rows, box_rows, params, functions, shapes):
+def _forward(scores, rows, gt_rows, box_rows, params, functions, shapes):
     """loss_forward of several joint rankings at once: (values, caches, rows).
 
-    Ranking k is batches[k], with the positive rows rows[k], loss parameters
-    params[k] (all of one measurement) and shape functions functions[k];
-    shapes is their _ShapeRows. gt_rows and box_rows hold the positives'
-    assigned ground truths and boxes, ranking after ranking. The positives'
-    localization scores and f1, f3 and f5 at them are computed for all
-    rankings at once, and the pair sums ranking by ranking. A ranking with
-    no rows gets nan for its value and None for its cache. Every cache
-    holds views of the stacked row arrays, returned as the third item for
-    _box_row_grads.
+    Ranking k ranks the (N,) scores[k], with the positive rows rows[k],
+    loss parameters params[k] (all of one measurement) and shape functions
+    functions[k]; shapes is their _ShapeRows. gt_rows and box_rows hold the
+    positives' assigned ground truths and boxes, ranking after ranking. The
+    positives' localization scores and f1, f3 and f5 at them are computed
+    for all rankings at once, and the pair sums ranking by ranking. A
+    ranking with no rows gets nan for its value and None for its cache.
+    Every cache holds views of the stacked row arrays, returned as the
+    third item for _box_row_grads.
     """
     counts = [r.size for r in rows]
     l, loc_grads = _positive_loc_scores(gt_rows, box_rows, params[0].measurement)
@@ -421,14 +396,13 @@ def _forward(batches, rows, gt_rows, box_rows, params, functions, shapes):
         l, l > 0.0, counts)
     values, caches = [], []
     end = 0
-    for batch, r, p, fns in zip(batches, rows, params, functions):
+    for s, r, p, fns in zip(scores, rows, params, functions):
         if r.size == 0:
             values.append(np.nan)
             caches.append(None)
             continue
         part = slice(end, end + r.size)
         end += r.size
-        s = batch.scores
         # a negative has l = 0, so its weight is 1 - f3(0) = 1
         col_weights = np.ones_like(s)
         col_weights[r] = 1.0 - f3l[part]
@@ -441,7 +415,7 @@ def _forward(batches, rows, gt_rows, box_rows, params, functions, shapes):
                                                    p.block_denominator)
         denom = 1.0 + denom_sums
         values.append(float(-(f1l[part] - (numer / denom) * f5l[part]).sum() / r.size))
-        caches.append(LossCache(batch, p, fns, r, l[part], col_weights, f5l[part],
+        caches.append(LossCache(s, p, fns, r, l[part], col_weights, f5l[part],
                                 f1l_slope[part], f3l_slope[part], f5l_slope[part], numer,
                                 denom, loc_grads[part], **pair_fields))
     return values, caches, (f1l_slope, f3l_slope, f5l_slope, loc_grads)
@@ -554,7 +528,7 @@ def _sorted_grad_sums(cache, g, h):
     prediction j against the positives, which is _piece_sums on the negated
     scores, since d_ji = ((-s_i) - (-s_j) + 1) / 2."""
     rows = cache.rows
-    neg = -cache.batch.scores
+    neg = -cache.scores
     order = np.argsort(neg[rows], kind="stable")
     points = neg[rows][order]
 
@@ -579,7 +553,7 @@ def loss_backward(cache: LossCache):
     """
     score_grads, cross = _score_grads(cache)
     # loss_forward builds no cache for a batch without positives
-    box_grads = np.zeros_like(cache.batch.boxes)
+    box_grads = np.zeros((cache.scores.size, 4))
     box_grads[cache.rows] = _box_row_grads(
         (cache.f1l_slope, cache.f3l_slope, cache.f5l_slope, cache.loc_grads), cache.numer,
         cache.denom, cross, cache.rows.size, lambda_from_theta(cache.params.theta_lambda))
@@ -625,12 +599,8 @@ def _stack_grads(boxes, scores, gt_boxes, assignment, positive, params, function
     and gradient scale lams[k]; shapes is their _ShapeRows. A ranking
     without positives gets a nan value and zero gradients.
     """
-    # the caller holds every DetectionBatch invariant on the rows it ranks,
-    # and the loss reads only the positives' ground truths
-    batches = [DetectionBatch._trusted(b, s, gt_boxes, a)
-               for b, s, a in zip(boxes, scores, assignment)]
     rows = [np.flatnonzero(p) for p in positive]
-    values, caches, row_arrays = _forward(batches, rows, gt_boxes[assignment[positive]],
+    values, caches, row_arrays = _forward(scores, rows, gt_boxes[assignment[positive]],
                                           boxes[positive], params, functions, shapes)
     score_grads = np.zeros(scores.shape)
     ranked = []
@@ -644,10 +614,3 @@ def _stack_grads(boxes, scores, gt_boxes, assignment, positive, params, function
     box_grads[positive] = _box_row_grads(row_arrays, numer, denom, cross, counts.repeat(counts),
                                          lams.repeat(counts)[:, None])
     return np.array(values), score_grads, box_grads
-
-
-def loss_with_grads(batch: DetectionBatch, params: LossParams, functions=None) -> LossResult:
-    """Forward and backward in one call."""
-    value, cache = loss_forward(batch, params, functions)
-    score_grads, box_grads = loss_backward(cache)
-    return LossResult(value, score_grads, box_grads, cache.rows.size)

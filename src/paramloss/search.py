@@ -287,11 +287,12 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
 
     Round t draws sample i as propose(t, rng) with rng seeded from
     (master seed, t, i); a last round short of S samples happens only when
-    `budget` is not a multiple of S. A round trains as one lockstep chunk
-    at jobs 1, and as chunks of ceil(S / jobs) samples over the pool
-    otherwise. After each round, update(t, thetas, rewards), when given,
-    returns the round record. Returns (best LossParams, history); best is
-    None when the budget is 0.
+    `budget` is not a multiple of S. A round trains as lockstep chunks of
+    ceil(S / jobs) samples, each in its own pool worker, so the pool has as
+    many workers as a round has chunks; one chunk trains in-process. After
+    each round, update(t, thetas, rewards), when given, returns the round
+    record. Returns (best LossParams, history); best is None when the
+    budget is 0.
     """
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
@@ -301,14 +302,16 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
         return None, []
     history = []
     chunk = -(-config.S // jobs)
-    pool = (ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(dataset,))
-            if jobs > 1 else nullcontext())
+    # one worker per chunk: the executor forks them all at the first submit
+    workers = -(-config.S // chunk)
+    pool = (ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(dataset,))
+            if workers > 1 else nullcontext())
     with pool:
         for t, done in enumerate(range(0, budget, config.S), start=1):
             thetas = [propose(t, np.random.default_rng([config.seed, t, i]))
                       for i in range(min(config.S, budget - done))]
             seeds = [_train_seed(config.seed, t, i) for i in range(len(thetas))]
-            if jobs > 1:
+            if workers > 1:
                 starts = range(0, len(thetas), chunk)
                 # map() yields results in submission order, keeping parallel
                 # runs byte-identical to serial ones

@@ -48,11 +48,11 @@ from .errors import (
 )
 from .geometry import pairwise_iou, validate_boxes
 from .optim import Adam
-from .paploss import LossParams, loss_forward
+from .paploss import LossParams
 
-# loss_backward stays importable from here, unused: the benchmark wraps this
-# binding
-from .paploss import loss_backward  # noqa: F401
+# loss_forward and loss_backward stay importable from here, unused: the
+# benchmark wraps these bindings
+from .paploss import loss_backward, loss_forward  # noqa: F401
 
 ASSIGN_THRESHOLD = 0.5
 MIN_BOX_SIZE = 0.02
@@ -443,15 +443,16 @@ def _scene_sizes(scenes, error=InvalidInputError):
 
 
 def _merge_scenes(scenes):
-    """Stack scene arrays into one joint batch, each scene's gt indices
-    offset by the ground truths stacked before it."""
+    """(_scene_sizes, (features, anchors, gt boxes, assignment)) of the
+    scenes stacked into one joint batch, each scene's gt indices offset by
+    the ground truths stacked before it."""
     n_anchor, n_gt = _scene_sizes(scenes)
     assignment = np.concatenate([s.assignment for s in scenes])
     offsets = np.repeat(np.cumsum(n_gt) - n_gt, n_anchor)
-    return (np.concatenate([s.features for s in scenes]),
-            np.concatenate([s.anchors for s in scenes]),
-            np.concatenate([s.gt_boxes for s in scenes]),
-            np.where(assignment >= 0, assignment + offsets, NEGATIVE))
+    return (n_anchor, n_gt), (np.concatenate([s.features for s in scenes]),
+                              np.concatenate([s.anchors for s in scenes]),
+                              np.concatenate([s.gt_boxes for s in scenes]),
+                              np.where(assignment >= 0, assignment + offsets, NEGATIVE))
 
 
 def model_forward(model: ToyModel, scene: Scene) -> DetectionBatch:
@@ -470,7 +471,8 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     skipped (the step is consumed without an update). Raises
     TrainingDivergedError on the first non-finite loss, gradient or weight,
     and InvalidInputError for steps, batch_scenes or a seed that is not an
-    integer in range, or an lr that is not finite and positive.
+    integer in range, an lr that is not finite and positive, or train
+    scenes of different anchor counts.
     `functions` overrides the piecewise substitutions with explicit callables
     (used by the handcrafted-substitution comparisons); by default they are
     built from params once per training. This is the one-sample call of
@@ -499,15 +501,18 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
     on stacks, while each sample's pair sums (the (P, N) or sorted kernel)
     run on their own, because a stack of them is slower than its parts.
 
-    A sample whose parameters do not build never joins the stack, which
-    then keeps its size for the whole training. A diverged sample's row
-    stays in it with zero weights and no positives, so it neither updates
-    nor fails again while the others go on, and the training ends once
-    every row has diverged. A sample whose mini-batch has no positives
-    skips only its own update, so its Adam step count does not advance.
-    Train scenes of different anchor counts give each sample batches of
-    their own sizes, so such a set trains one sample at a time.
+    Raises InvalidInputError unless there is one seed per sample and the
+    train scenes share one anchor count, so that a step's scenes are one
+    gather from the train set stacked once. A sample whose parameters do
+    not build never joins the stack, which then keeps its size for the
+    whole training. A diverged sample's row stays in it with zero weights
+    and no positives, so it neither updates nor fails again while the
+    others go on, and the training ends once every row has diverged. A
+    sample whose mini-batch has no positives skips only its own update, so
+    its Adam step count does not advance.
     """
+    if len(seeds) != len(params):
+        raise InvalidInputError(f"{len(params)} samples need as many seeds, got {len(seeds)}")
     for name, value, least in [("steps", steps, 0), ("batch_scenes", batch_scenes, 1),
                                *(("seed", seed, 0) for seed in seeds)]:
         check_value_type(name, int, value, InvalidInputError)
@@ -522,17 +527,12 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
         raise InvalidInputError("functions override must supply exactly 5 functions")
     if len({p.measurement for p in params}) > 1:
         raise InvalidInputError("samples trained in lockstep share one measurement")
-    n_anchor, _ = _scene_sizes(train_set)
-    if len(params) > 1 and np.any(n_anchor != n_anchor[0]):
-        return [outcome for p, seed in zip(params, seeds)
-                for outcome in _train_lockstep([p], train_set, steps, [seed],
-                                               batch_scenes=batch_scenes, lr=lr,
-                                               functions=functions)]
     # stacked once: each step gathers its scenes' rows from these arrays
-    all_feats, all_anchors, gts, all_assignment = _merge_scenes(train_set)
-    all_rows = np.arange(all_feats.shape[0])
-    scene_rows = [all_rows[end - n:end]
-                  for end, n in zip(np.cumsum(n_anchor).tolist(), n_anchor.tolist())]
+    (n_anchor, _), (all_feats, all_anchors, gts, all_assignment) = _merge_scenes(train_set)
+    if np.any(n_anchor != n_anchor[0]):
+        raise InvalidInputError(f"train scenes have different anchor counts {np.unique(n_anchor)}")
+    # scene i holds rows i * A to i * A + A - 1 of the stack
+    a = int(n_anchor[0])
     n_features = all_feats.shape[1]
     outcomes = [ToyModel.init(n_features, HIDDEN, seed) for seed in seeds]
     if steps == 0:
@@ -562,7 +562,7 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
 
     schedule = _batch_schedule(len(train_set), batch_scenes, steps, [seeds[k] for k in live])
     for step, picked in enumerate(schedule):
-        rows = np.concatenate([scene_rows[i] for i in picked]).reshape(len(live), -1)
+        rows = (picked[:, None] * a + np.arange(a)).reshape(len(live), -1)
         boxes, scores, cache = _model_apply(model, all_feats[rows], all_anchors[rows])
         # a frozen row's zero weights give its anchors' boxes, which may
         # collapse; it must not fail a second time
@@ -606,7 +606,7 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
 
 
 def _batch_schedule(n_scenes: int, batch_scenes: int, steps: int, seeds):
-    """Yields the scenes of each step's mini-batches, one list of S * b
+    """Yields the scenes of each step's mini-batches, one int array of S * b
     scene indices per step, sample by sample, with b = min(batch_scenes,
     n_scenes). Each epoch is one permutation of the scenes from each seed's
     shuffle stream, dealt into batches of b, and a remainder smaller than a
@@ -618,7 +618,7 @@ def _batch_schedule(n_scenes: int, batch_scenes: int, steps: int, seeds):
         if step % per_epoch == 0:
             deal = np.stack([s.permutation(n_scenes)[:per_epoch * batch_scenes]
                              for s in shuffles]).reshape(len(seeds), per_epoch, -1)
-            deal = deal.swapaxes(0, 1).reshape(per_epoch, -1).tolist()
+            deal = deal.swapaxes(0, 1).reshape(per_epoch, -1)
         yield deal[step % per_epoch]
 
 
@@ -642,22 +642,10 @@ def _scene_threshold_ap(model: ToyModel, eval_scenes) -> np.ndarray:
     from one detector pass and one greedy-matching pass over all scenes."""
     if not eval_scenes:
         raise InvalidInputError("reward needs a non-empty evaluation set")
-    n_anchor, n_gt = _scene_sizes(eval_scenes)
-    feats, anchors, gts, _ = _merge_scenes(eval_scenes)
+    (n_anchor, n_gt), (feats, anchors, gts, _) = _merge_scenes(eval_scenes)
     boxes, scores, _ = _model_apply(model, feats, anchors)
     validate_boxes(boxes)
     if not np.all(np.isfinite(scores)):
         raise InvalidInputError("scores must be finite")
     return _pr_area_stack(_ranked_iou(boxes, scores, gts, n_anchor, n_gt), n_gt,
                           COCO_THRESHOLDS)
-
-
-def dataset_loss(model: ToyModel, params: LossParams, scenes) -> float:
-    """Mean per-scene loss value; diagnostic helper for tests and tuning."""
-    if not scenes:
-        raise InvalidInputError("dataset_loss needs at least one scene")
-    values = []
-    for scene in scenes:
-        batch = model_forward(model, scene)
-        values.append(loss_forward(batch, params)[0])
-    return float(np.mean(values))

@@ -30,18 +30,18 @@ from paramloss.paploss import (
     handcrafted_substitution,
     lambda_from_theta,
     loss_forward,
-    loss_with_grads,
     resolve_functions,
 )
 from paramloss.piecewise import RatioParams, build, identity_params
 from paramloss.search import SearchConfig, _train_seed, random_search, run_search
 from paramloss.toybench import (
     DatasetConfig,
-    dataset_loss,
     generate,
     reward,
     train_inner,
 )
+
+from loss_helpers import dataset_loss, loss_with_grads
 
 MASTER_SEEDS = (1, 2, 3, 4)
 

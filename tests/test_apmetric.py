@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from paramloss import geometry
 from paramloss.apmetric import (
     COCO_THRESHOLDS,
     DetectionBatch,
@@ -13,11 +14,10 @@ from paramloss.apmetric import (
     ap_ranked,
     ap_reformulated,
     assign,
-    loc_score,
     loc_scores,
 )
 from paramloss.errors import EmptyPositiveError, InvalidInputError
-from paramloss.geometry import pairwise_iou
+from paramloss.geometry import Box, pairwise_iou
 
 UNIT = np.array([0.0, 0.0, 1.0, 1.0])
 
@@ -76,27 +76,28 @@ class TestLocScores:
     def test_negative_is_zero(self):
         batch = self.make_batch()
         for kind in ("iou", "giou", "l1"):
-            assert loc_score(batch, 2, kind) == 0.0
+            assert loc_scores(batch, kind)[2] == 0.0
 
     def test_giou_rescaled(self):
         batch = self.make_batch()
-        assert abs(loc_score(batch, 0, "giou") - 1.0) < 1e-12
-        assert abs(loc_score(batch, 1, "giou") - 2.0 / 3.0) < 1e-12
+        assert abs(loc_scores(batch, "giou")[0] - 1.0) < 1e-12
+        assert abs(loc_scores(batch, "giou")[1] - 2.0 / 3.0) < 1e-12
 
     def test_iou_unchanged(self):
         batch = self.make_batch()
-        assert abs(loc_score(batch, 1, "iou") - 1.0 / 3.0) < 1e-12
+        assert abs(loc_scores(batch, "iou")[1] - 1.0 / 3.0) < 1e-12
 
     def test_vector_matches_scalar(self):
+        # each positive's entry is the scalar measurement against its ground
+        # truth, GIoU rescaled from [-1, 1]
         batch = self.make_batch()
-        for kind in ("iou", "giou", "l1"):
+        gt = Box(*batch.gt_boxes[0])
+        scalar = {"iou": geometry.iou, "l1": geometry.l1_score,
+                  "giou": lambda a, b: (geometry.giou(a, b) + 1.0) / 2.0}
+        for kind, fn in scalar.items():
             vec = loc_scores(batch, kind)
-            for i in range(3):
-                assert vec[i] == loc_score(batch, i, kind)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            loc_score(self.make_batch(), 3)
+            for i in (0, 1):
+                assert abs(vec[i] - fn(gt, Box(*batch.boxes[i]))) < 1e-12
 
 
 class TestBatchValidation:

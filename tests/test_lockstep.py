@@ -191,10 +191,37 @@ def test_sorted_path_unblocked_equals_separate_trainings(size):
 
 
 def test_ragged_anchor_counts_train_one_sample_at_a_time():
-    sixteen = generate(DatasetConfig(scenes=10, g_max=4, anchors=16, features=6, seed=8))[0]
+    # a chunk trained on one anchor count and scored on an eval set of 16-
+    # and 10-anchor scenes equals its samples trained one at a time
+    sixteen = generate(DatasetConfig(scenes=20, g_max=4, anchors=16, features=6, seed=8))
     ten = generate(DatasetConfig(scenes=10, g_max=4, anchors=10, features=6, seed=9))
-    train = tuple(s for pair in zip(sixteen, ten[0]) for s in pair)
-    _assert_chunk_matches_separate(_sampled(3), train, [1, 2, 3], ten[1], batch_scenes=5)
+    eval_set = tuple(s for pair in zip(sixteen[1], ten[1]) for s in pair)
+    assert {len(s.anchors) for s in eval_set} == {10, 16}
+    _assert_chunk_matches_separate(_sampled(3), sixteen[0], [1, 2, 3], eval_set,
+                                   batch_scenes=5)
+
+
+def test_mixed_anchor_train_set_is_rejected():
+    # scenes of 16 and 10 anchors; an eval set of mixed counts still scores
+    sixteen = generate(DatasetConfig(scenes=10, g_max=4, anchors=16, features=6, seed=8))
+    ten = generate(DatasetConfig(scenes=10, g_max=4, anchors=10, features=6, seed=9))
+    train = tuple(s for pair in zip(sixteen[0], ten[0]) for s in pair)
+    eval_set = sixteen[1] + ten[1]
+    with pytest.raises(InvalidInputError, match="anchor counts"):
+        train_inner(_sampled(1)[0], train, 2, 1)
+    with pytest.raises(InvalidInputError, match="anchor counts"):
+        _train_lockstep(_sampled(3), train, 2, [1, 2, 3])
+    with pytest.raises(InvalidInputError, match="anchor counts"):
+        run_search(SearchConfig(T=1, S=3, steps=2, M=5, seed=1), dataset=(train, eval_set))
+    model = train_inner(_sampled(1)[0], sixteen[0], 2, 1)
+    assert 0.0 <= reward(model, eval_set) <= 1.0
+
+
+@pytest.mark.parametrize("samples, seeds", [(2, [0]), (1, [0, 1])])
+def test_each_sample_needs_its_own_seed(samples, seeds):
+    train, _ = generate(SMALL)
+    with pytest.raises(InvalidInputError, match="seeds"):
+        _train_lockstep(_sampled(samples), train, 2, seeds)
 
 
 def test_shared_override_functions_equal_separate_trainings():
@@ -292,7 +319,8 @@ def test_batch_schedule_equals_list_rule(n_scenes, batch_scenes, steps):
         chunk = seeds[k:]
         want = [sum(batches, []) for batches in
                 zip(*(_list_rule_batches(n_scenes, batch_scenes, steps, s) for s in chunk))]
-        assert list(_batch_schedule(n_scenes, batch_scenes, steps, chunk)) == want
+        got = [batch.tolist() for batch in _batch_schedule(n_scenes, batch_scenes, steps, chunk)]
+        assert got == want
 
 
 def _strip_wall(history):

@@ -407,6 +407,41 @@ class TestRunSearch:
         assert np.array_equal(best_serial.to_flat(), best_par.to_flat())
         assert _strip_wall(hist_serial) == _strip_wall(hist_par)
 
+    @pytest.mark.parametrize("S, jobs, pools", [
+        (4, 64, [4]),  # one worker per sample, not 64
+        (4, 3, [2]),   # chunks of 2: two chunks, not three workers
+        (3, 2, [2]),
+        (1, 4, []),    # one chunk trains in-process
+        (4, 1, []),
+    ])
+    def test_pool_has_one_worker_per_chunk(self, data, monkeypatch, S, jobs, pools):
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and runs the tasks in-process, in order."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(paramloss.search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(paramloss.search, "_worker_dataset", None)
+        config = tiny_config(T=2, S=S, steps=2)
+        best, history = run_search(config, dataset=data, jobs=jobs)
+        assert sizes == pools
+        serial_best, serial = run_search(config, dataset=data)
+        assert np.array_equal(best.to_flat(), serial_best.to_flat())
+        assert _strip_wall(history) == _strip_wall(serial)
+
     def test_pool_tasks_carry_no_scenes(self):
         # the pool's initializer hands each worker the dataset once, so a task
         # message holds only (config, theta, seed); with the scenes in it, one

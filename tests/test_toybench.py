@@ -35,7 +35,6 @@ from paramloss.toybench import (
     _scene_threshold_ap,
     _weight_grads,
     dataset_from_json_dict,
-    dataset_loss,
     dataset_to_json_dict,
     generate,
     load_dataset,
@@ -44,6 +43,8 @@ from paramloss.toybench import (
     save_dataset,
     train_inner,
 )
+
+from loss_helpers import dataset_loss
 
 SMALL = DatasetConfig(scenes=30, g_max=2, anchors=10, features=6, noise=0.05, seed=3)
 
@@ -313,7 +314,7 @@ def _reference_decode(weights_model, features, anchors):
     return boxes, scores, raw
 
 
-def _kink_margins_ok(raw, loss_cache, params, margin=1e-3):
+def _kink_margins_ok(raw, batch, loss_cache, params, margin=1e-3):
     """True when no decode or loss nonsmoothness sits within `margin`."""
     for key in ("w", "h"):
         r = raw[key]
@@ -330,20 +331,20 @@ def _kink_margins_ok(raw, loss_cache, params, margin=1e-3):
             return False
     # clip saturation of normalized score differences, d[i, j] = d_ji as
     # loss_forward computes it
-    s = loss_cache.batch.scores
+    s = batch.scores
     d = (np.clip(s[None, :] - s[:, None], -1.0, 1.0) + 1.0) / 2.0
     d_off = d[~np.eye(len(d), dtype=bool)]
     if np.min(np.abs(d_off)) < margin or np.min(np.abs(d_off - 1.0)) < margin:
         return False
     fns = resolve_functions(params)
     knots = np.unique(np.concatenate([f.control_points[1:-1, 0] for f in fns]))
-    pos = loss_cache.batch.positive_mask
+    pos = batch.positive_mask
     values = np.concatenate([d_off, loss_cache.l])
     if knots.size and np.min(np.abs(values[:, None] - knots[None, :])) < margin:
         return False
     # measure kinks: coordinate ties and grazing overlaps with the target
-    pred = loss_cache.batch.boxes[pos]
-    tgt = loss_cache.batch.gt_boxes[loss_cache.batch.assignment[pos]]
+    pred = batch.boxes[pos]
+    tgt = batch.gt_boxes[batch.assignment[pos]]
     if np.min(np.abs(pred - tgt)) < margin:
         return False
     iw = np.minimum(pred[:, 2], tgt[:, 2]) - np.maximum(pred[:, 0], tgt[:, 0])
@@ -360,7 +361,7 @@ class TestWeightGradients:
         params = LossParams.identity(block_denominator=False)
         train, _ = generate(SMALL)
         scenes = train[:3]
-        feats, anchors, gts, assignment = _merge_scenes(scenes)
+        _, (feats, anchors, gts, assignment) = _merge_scenes(scenes)
 
         checked = 0
         for seed in range(40):
@@ -374,9 +375,9 @@ class TestWeightGradients:
             assert np.allclose(boxes, ref_boxes, atol=1e-12)
             assert np.allclose(scores, ref_scores, atol=1e-12)
 
-            value, loss_cache = loss_forward(
-                DetectionBatch(boxes, scores, gts, assignment), params)
-            if not _kink_margins_ok(raw, loss_cache, params):
+            batch = DetectionBatch(boxes, scores, gts, assignment)
+            value, loss_cache = loss_forward(batch, params)
+            if not _kink_margins_ok(raw, batch, loss_cache, params):
                 continue
 
             score_grads, box_grads = loss_backward(loss_cache)
@@ -550,7 +551,9 @@ class TestMergeScenes:
     def test_offsets(self):
         train, _ = generate(SMALL)
         a, b = train[0], train[1]
-        feats, anchors, gts, assignment = _merge_scenes([a, b])
+        sizes, (feats, anchors, gts, assignment) = _merge_scenes([a, b])
+        assert [x.tolist() for x in sizes] == [[len(a.anchors), len(b.anchors)],
+                                               [len(a.gt_boxes), len(b.gt_boxes)]]
         n = len(a.anchors)
         assert feats.shape[0] == n + len(b.anchors)
         assert np.array_equal(assignment[:n], a.assignment)
@@ -562,7 +565,7 @@ class TestMergeScenes:
     def test_merged_batch_valid(self):
         train, _ = generate(SMALL)
         model = ToyModel.init(train[0].features.shape[1], hidden=16, seed=1)
-        feats, anchors, gts, assignment = _merge_scenes(train[:4])
+        _, (feats, anchors, gts, assignment) = _merge_scenes(train[:4])
         boxes, scores, _ = _model_apply(model, feats, anchors)
         batch = DetectionBatch(boxes, scores, gts, assignment)
         assert batch.n_positive > 0
