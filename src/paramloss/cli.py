@@ -24,14 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .apmetric import COCO_THRESHOLDS
-from .errors import ConfigError, ParamLossError, TrainingDivergedError
-from .paploss import (
-    HANDCRAFTED_KINDS,
-    LossParams,
-    handcrafted_substitution,
-    lambda_from_theta,
-    resolve_functions,
-)
+from .errors import ConfigError, ParamLossError, TrainingDivergedError, check_value_type
+from .paploss import HANDCRAFTED_KINDS, LossParams, handcrafted_substitution
 from .search import (
     PRESETS,
     SearchConfig,
@@ -65,7 +59,7 @@ def _load_json(path):
 
 def _load_params(path):
     """LossParams from a params file; ConfigError for a non-numeric or
-    ragged theta (a missing key raises InvalidInputError)."""
+    ragged theta (a missing key or collapsing knots raise as LossParams does)."""
     data = _load_json(path)
     try:
         return LossParams.from_json_dict(data)
@@ -201,7 +195,7 @@ def cmd_train_eval(args) -> int:
         "per_threshold_ap": per_threshold,
         "source": source,
         "params": params.to_json_dict(),
-        "lambda": lambda_from_theta(params.theta_lambda),
+        "lambda": params.lam,
         "steps": config.steps,
         "seed": config.seed,
     }
@@ -219,33 +213,40 @@ def cmd_train_eval(args) -> int:
 
 def cmd_export_functions(args) -> int:
     params = _load_params(args.params)
-    functions = resolve_functions(params)
     out = _out_dir(args)
     grid = np.linspace(0.0, 1.0, 201)
     control = {}
-    for k, fn in enumerate(functions, start=1):
+    for k, fn in enumerate(params.functions, start=1):
         with open(out / f"f{k}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "f"])
             for x, y in zip(grid, fn.eval(grid)):
                 writer.writerow([repr(float(x)), repr(float(y))])
         control[f"f{k}"] = fn.to_points()
-    control["lambda"] = lambda_from_theta(params.theta_lambda)
+    control["lambda"] = params.lam
     _write_json(out / "control_points.json", control)
     print(f"wrote 5 curves and control points to {out}")
     return EXIT_OK
 
 
 def _history_curve(path):
-    """best_so_far_curve of a history.jsonl as a dict; ConfigError for a line
-    that is not a JSON object, or a sample record without its round."""
-    with open(path) as fh:
-        try:
+    """best_so_far_curve of a history.jsonl as a dict; ConfigError for a
+    directory, a line that is not a JSON object, or a sample record whose
+    round is not an integer or whose reward is not a real number."""
+    try:
+        with open(path) as fh:
             history = [json.loads(line) for line in fh if line.strip()]
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not a search history: {exc}") from exc
-    if not all(isinstance(r, dict) and ("reward" not in r or "round" in r) for r in history):
+    except (IsADirectoryError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path} is not a search history: {exc}") from exc
+
+    def bad_record(message):
+        return ConfigError(f"{path} holds a sample record whose {message}")
+
+    if not all(isinstance(r, dict) for r in history):
         raise ConfigError(f"{path} holds a line that is not a search record")
+    for record in (r for r in history if "reward" in r):
+        check_value_type("round", int, record.get("round"), bad_record)
+        check_value_type("reward", float, record["reward"], bad_record)
     return dict(best_so_far_curve(history))
 
 

@@ -48,15 +48,16 @@ class ConfigError(ParamLossError):
 # Integral, so it is taken only where the annotation is bool
 _FIELD_KINDS = {int: (numbers.Integral, "an integer"),
                 float: (numbers.Real, "a real number"),
-                bool: (bool, "true or false")}
+                bool: (bool, "true or false"),
+                str | None: ((str, type(None)), "a string or null")}
 
 
 def check_field_types(obj, error) -> None:
-    """Check every int, float and bool field of a dataclass instance.
+    """Check every int, float, bool and str | None field of a dataclass instance.
 
     Raises:
-        error: a field holds a value of another kind, such as 2.5 or true
-            for an int, "0.2" for a float, or "false" for a bool.
+        error: a field holds a value of another kind, such as true for an
+            int, "0.2" for a float, "false" for a bool, or 0 for a str | None.
     """
     for f in fields(obj):
         check_value_type(f.name, f.type, getattr(obj, f.name), error)

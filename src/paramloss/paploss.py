@@ -160,6 +160,11 @@ class LossParams:
 
     The flat vector layout is theta1..theta5 row-major ratio pairs followed
     by theta_lambda, for a total of 10 (M - 1) + 1 scalars.
+
+    Making one builds its five shape functions (`functions`) and gradient
+    scale (`lam`) once, so ratios that collapse two knots raise
+    ConstraintViolationError from the constructor, from_flat, from_json_dict
+    and dataclasses.replace alike, and a LossParams always gives a loss.
     """
 
     theta1: RatioParams
@@ -183,9 +188,11 @@ class LossParams:
                 raise InvalidInputError(
                     f"theta{k} holds {t.ratios.shape[0]} ratio pairs, expected {self.M - 1}"
                 )
-        lambda_from_theta(self.theta_lambda)
+        object.__setattr__(self, "lam", lambda_from_theta(self.theta_lambda))
         if self.measurement not in MEASUREMENTS:
             raise InvalidInputError(f"unknown measurement {self.measurement!r}")
+        # a module-global lookup, so a tracer wrapping it sees every build
+        object.__setattr__(self, "functions", resolve_functions(self))
 
     @property
     def thetas(self) -> tuple:
@@ -252,7 +259,8 @@ class LossParams:
 
 
 def resolve_functions(params: LossParams) -> tuple:
-    """Build the five shape functions from their ratio parameters."""
+    """Build the five shape functions from their ratio parameters; a
+    LossParams calls it once, when it is made, and keeps them as functions."""
     return tuple(build(t, params.M) for t in params.thetas)
 
 
@@ -299,8 +307,8 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
     """Loss value plus the cache consumed by loss_backward.
 
     functions overrides the five shape functions (anything with PiecewiseFn's
-    eval and eval_with_slope, pinned at f(0) = 0); by default they are built
-    from params. Raises EmptyPositiveError when the batch has no positive
+    eval and eval_with_slope, pinned at f(0) = 0); by default they are
+    params.functions. Raises EmptyPositiveError when the batch has no positive
     prediction, so the trainer can skip the step instead of averaging over
     an empty set.
 
@@ -312,7 +320,7 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
     the same code for both.
     """
     if functions is None:
-        functions = resolve_functions(params)
+        functions = params.functions
     elif len(functions) != 5:
         raise InvalidInputError("functions override must supply exactly 5 functions")
     rows = np.flatnonzero(batch.positive_mask)
@@ -556,7 +564,7 @@ def loss_backward(cache: LossCache):
     box_grads = np.zeros((cache.scores.size, 4))
     box_grads[cache.rows] = _box_row_grads(
         (cache.f1l_slope, cache.f3l_slope, cache.f5l_slope, cache.loc_grads), cache.numer,
-        cache.denom, cross, cache.rows.size, lambda_from_theta(cache.params.theta_lambda))
+        cache.denom, cross, cache.rows.size, cache.params.lam)
     return score_grads, box_grads
 
 
@@ -590,14 +598,13 @@ def _box_row_grads(row_arrays, numer, denom, cross, count, lam):
     return lam * dl_dloss[:, None] * loc_grads
 
 
-def _stack_grads(boxes, scores, gt_boxes, assignment, positive, params, functions, shapes,
-                 lams):
+def _stack_grads(boxes, scores, gt_boxes, assignment, positive, params, functions, shapes):
     """Loss values (S,), score gradients (S, N) and box gradients (S, N, 4)
     of S joint rankings at once: ranking k ranks the predictions
     (boxes[k], scores[k]) under assignment[k] into gt_boxes, with the
-    positives positive[k], params[k] (all of one measurement), functions[k]
-    and gradient scale lams[k]; shapes is their _ShapeRows. A ranking
-    without positives gets a nan value and zero gradients.
+    positives positive[k], params[k] (all of one measurement; its lam
+    scales the box gradients) and functions[k]; shapes is their _ShapeRows.
+    A ranking without positives gets a nan value and zero gradients.
     """
     rows = [np.flatnonzero(p) for p in positive]
     values, caches, row_arrays = _forward(scores, rows, gt_boxes[assignment[positive]],
@@ -610,6 +617,7 @@ def _stack_grads(boxes, scores, gt_boxes, assignment, positive, params, function
             ranked.append((cache.numer, cache.denom, cross))
     numer, denom, cross = (np.concatenate(parts) for parts in zip(*ranked))
     counts = np.array([r.size for r in rows])
+    lams = np.array([p.lam for p in params])
     box_grads = np.zeros(boxes.shape)
     box_grads[positive] = _box_row_grads(row_arrays, numer, denom, cross, counts.repeat(counts),
                                          lams.repeat(counts)[:, None])

@@ -232,7 +232,8 @@ def _train_seed(master: int, t: int, i: int) -> int:
 
 
 def _loss_params(config: SearchConfig, theta) -> LossParams:
-    """The loss parameters a search under `config` trains for a flat theta."""
+    """The loss parameters a search under `config` trains for a flat theta;
+    ConstraintViolationError for a theta that gives no loss."""
     return LossParams.from_flat(theta, M=config.M, measurement=config.measurement,
                                 block_denominator=config.block_denominator)
 
@@ -242,27 +243,24 @@ def _evaluate_chunk(dataset, config: SearchConfig, thetas,
     """Train and score samples in lockstep on the (train, eval) scenes
     `dataset`: (reward, diverged, wall_ms) per sample, in order.
 
-    Diverged or unbuildable samples get 0. The chunk's wall time is split
-    evenly among its samples, so the wall_ms of a round's samples sum to
-    the time spent evaluating the round.
+    The one place that decides a sample is unbuildable: a theta that
+    _loss_params rejects does not train and gets (0.0, True), as a diverged
+    sample does. The chunk's wall time is split evenly among its samples, so
+    the wall_ms of a round's samples sum to the time spent evaluating it.
     """
     train_set, eval_set = dataset
     start = time.perf_counter()
-    outcomes = [None] * len(thetas)
-    params, trained = [], []
+    params = {}
     for k, theta in enumerate(thetas):
         try:
-            params.append(_loss_params(config, theta))
-            trained.append(k)
-        except ConstraintViolationError as exc:
-            outcomes[k] = exc
-    if params:
-        models = toybench._train_lockstep(params, train_set, config.steps,
-                                          [seeds[k] for k in trained])
-        for k, model in zip(trained, models):
-            outcomes[k] = model
-    results = [(0.0, True) if isinstance(outcome, Exception)
-               else (toybench.reward(outcome, eval_set), False) for outcome in outcomes]
+            params[k] = _loss_params(config, theta)
+        except ConstraintViolationError:
+            pass  # unbuildable: it gets no model, so it scores (0.0, True)
+    models = dict(zip(params, toybench._train_lockstep(
+        list(params.values()), train_set, config.steps, [seeds[k] for k in params])))
+    results = [(toybench.reward(models[k], eval_set), False)
+               if isinstance(models.get(k), toybench.ToyModel) else (0.0, True)
+               for k in range(len(thetas))]
     wall_ms = (time.perf_counter() - start) * 1000.0 / len(thetas)
     return [(value, diverged, wall_ms) for value, diverged in results]
 
@@ -291,8 +289,8 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
     ceil(S / jobs) samples, each in its own pool worker, so the pool has as
     many workers as a round has chunks; one chunk trains in-process. After
     each round, update(t, thetas, rewards), when given, returns the round
-    record. Returns (best LossParams, history); best is None when the
-    budget is 0.
+    record. Returns (best LossParams, history): best is the earliest sample
+    of the highest reward among those that trained, None if none did.
     """
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
@@ -327,17 +325,18 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
             if update is not None:
                 history.append(update(t, np.stack(thetas), [value for value, _, _ in results]))
 
-    # max() keeps the first of equal rewards, the earliest sample
-    best = max((r for r in history if "reward" in r), key=lambda r: r["reward"])
-    return _loss_params(config, best["theta"]), history
+    # max() keeps the first of equal rewards; round records have no "diverged"
+    best = max((r for r in history if r.get("diverged") is False),
+               key=lambda r: r["reward"], default=None)
+    return None if best is None else _loss_params(config, best["theta"]), history
 
 
 def run_search(config: SearchConfig, dataset, jobs: int = 1):
     """Truncated-normal sampling around an ascending mean (Algorithm: PPO2).
 
     `dataset` is the in-memory (train scenes, eval scenes) pair. Returns
-    (best LossParams, history). The history carries one record per sample
-    {round, sample_index, theta, reward, diverged, wall_ms} and one record
+    (best LossParams or None, history). The history carries one record per
+    sample {round, sample_index, theta, reward, diverged, wall_ms} and one record
     per round {round, mu, sigma} holding the post-update mean. A round's
     samples train in lockstep, in one chunk per job, and each sample's
     wall_ms is its chunk's wall time split evenly among the chunk's

@@ -40,7 +40,6 @@ from .apmetric import (
 from .apmetric import ap_pr_area  # noqa: F401
 from .errors import (
     ConfigError,
-    ConstraintViolationError,
     InvalidInputError,
     TrainingDivergedError,
     check_field_types,
@@ -251,12 +250,13 @@ def save_dataset(path, config: DatasetConfig, train, eval_scenes):
 
 
 def read_json(path):
-    """The JSON value in the file at path; ConfigError if it is not JSON."""
-    with open(path) as fh:
-        try:
+    """The JSON value in the file at path; ConfigError for a directory or a
+    file that is not JSON (a missing file raises FileNotFoundError)."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except (IsADirectoryError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path} is not a JSON file: {exc}") from exc
 
 
 def load_dataset(path):
@@ -475,8 +475,9 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     scenes of different anchor counts.
     `functions` overrides the piecewise substitutions with explicit callables
     (used by the handcrafted-substitution comparisons); by default they are
-    built from params once per training. This is the one-sample call of
-    _train_lockstep.
+    params.functions, built when params was made, so parameters whose knots
+    collapse never get here (LossParams raised ConstraintViolationError).
+    This is the one-sample call of _train_lockstep.
     """
     outcome, = _train_lockstep([params], train_set, steps, [seed], batch_scenes=batch_scenes,
                                lr=lr, functions=functions)
@@ -494,22 +495,23 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
     seeds[k], with its own shuffle; the samples share the train set,
     steps, batch_scenes, lr and the `functions` override. Returns one
     outcome per sample, in order: its trained ToyModel, or the
-    TrainingDivergedError or ConstraintViolationError that train_inner
-    raises for it alone. Each outcome equals that train_inner call's bit for
-    bit: the detector's forward and backward pass, the positives'
-    localization scores, f1, f3 and f5, the finiteness checks and Adam run
-    on stacks, while each sample's pair sums (the (P, N) or sorted kernel)
-    run on their own, because a stack of them is slower than its parts.
+    TrainingDivergedError that train_inner raises for it alone. Each
+    outcome equals that train_inner call's bit for bit: the detector's
+    forward and backward pass, the positives' localization scores, f1, f3
+    and f5, the finiteness checks and Adam run on stacks, while each
+    sample's pair sums (the (P, N) or sorted kernel) run on their own,
+    because a stack of them is slower than its parts.
 
     Raises InvalidInputError unless there is one seed per sample and the
     train scenes share one anchor count, so that a step's scenes are one
-    gather from the train set stacked once. A sample whose parameters do
-    not build never joins the stack, which then keeps its size for the
-    whole training. A diverged sample's row stays in it with zero weights
-    and no positives, so it neither updates nor fails again while the
-    others go on, and the training ends once every row has diverged. A
-    sample whose mini-batch has no positives skips only its own update, so
-    its Adam step count does not advance.
+    gather from the train set stacked once. Every sample joins the stack,
+    which keeps its size for the whole training, since a LossParams always
+    builds (a search decides unbuildable samples in search._evaluate_chunk).
+    A diverged sample's row stays in it with zero weights and no positives,
+    so it neither updates nor fails again while the others go on, and the
+    training ends once every row has diverged. A sample whose mini-batch has
+    no positives skips only its own update, so its Adam step count does not
+    advance.
     """
     if len(seeds) != len(params):
         raise InvalidInputError(f"{len(params)} samples need as many seeds, got {len(seeds)}")
@@ -535,34 +537,20 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
     a = int(n_anchor[0])
     n_features = all_feats.shape[1]
     outcomes = [ToyModel.init(n_features, HIDDEN, seed) for seed in seeds]
-    if steps == 0:
+    if steps == 0 or not params:
         return outcomes
-    live, fns = [], []
-    for k, p in enumerate(params):
-        try:
-            # built once, so an unbuildable theta fails before the first
-            # step; called through the module so that a tracer wrapping
-            # paploss.resolve_functions sees it
-            fns.append(paploss.resolve_functions(p) if functions is None else functions)
-            live.append(k)
-        except ConstraintViolationError as exc:
-            outcomes[k] = exc
-    if not live:
-        return outcomes
-
-    live_params = [params[k] for k in live]
-    lams = np.array([paploss.lambda_from_theta(p.theta_lambda) for p in live_params])
-    # row j of the buffer is sample live[j]; every step updates it in place,
-    # so the weights are checked once here and then per step below
-    weights = np.stack([outcomes[k].to_vector() for k in live])
-    opt = Adam(weights.shape[1], lr=lr, rows=len(live))
+    fns = [p.functions if functions is None else functions for p in params]
+    # row k of the buffer is sample k; every step updates it in place, so
+    # the weights are checked once here and then per step below
+    weights = np.stack([m.to_vector() for m in outcomes])
+    opt = Adam(weights.shape[1], lr=lr, rows=len(params))
     model = _WeightStack(weights, n_features)
     shapes = paploss._ShapeRows(fns)
-    done = np.zeros(len(live), dtype=bool)
+    done = np.zeros(len(params), dtype=bool)
 
-    schedule = _batch_schedule(len(train_set), batch_scenes, steps, [seeds[k] for k in live])
+    schedule = _batch_schedule(len(train_set), batch_scenes, steps, seeds)
     for step, picked in enumerate(schedule):
-        rows = (picked[:, None] * a + np.arange(a)).reshape(len(live), -1)
+        rows = (picked[:, None] * a + np.arange(a)).reshape(len(params), -1)
         boxes, scores, cache = _model_apply(model, all_feats[rows], all_anchors[rows])
         # a frozen row's zero weights give its anchors' boxes, which may
         # collapse; it must not fail a second time
@@ -574,7 +562,7 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
         ranked = positive.any(axis=1)
         if ranked.any():
             values, score_grads, box_grads = paploss._stack_grads(
-                boxes, scores, gts, assignment, positive, live_params, fns, shapes, lams)
+                boxes, scores, gts, assignment, positive, params, fns, shapes)
             finite = ~ranked | (np.isfinite(values) & np.isfinite(score_grads).all(axis=1)
                                 & np.isfinite(box_grads).all(axis=(1, 2)))
             if not finite.all():
@@ -591,17 +579,16 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
             # the rows left out kept their finite weights
             failed |= ~np.isfinite(weights).all(axis=1)
         if failed.any():
-            for j in np.flatnonzero(failed).tolist():
-                outcomes[live[j]] = TrainingDivergedError(step)
+            for k in np.flatnonzero(failed).tolist():
+                outcomes[k] = TrainingDivergedError(step)
             done |= failed
             if done.all():
                 return outcomes
             # finite, so the frozen row's forward pass raises no warning
             weights[failed] = 0.0
 
-    for j, k in enumerate(live):
-        if not done[j]:
-            outcomes[k] = outcomes[k].with_vector(weights[j])
+    for k in np.flatnonzero(~done).tolist():
+        outcomes[k] = outcomes[k].with_vector(weights[k])
     return outcomes
 
 

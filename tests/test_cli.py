@@ -147,6 +147,21 @@ class TestSearchCommand:
         assert main(["search", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("dataset", [0, True, ["a"]], ids=["zero", "true", "list"])
+    def test_non_string_dataset_exits_config(self, tmp_path, dataset):
+        # in a process of its own with no stdin: unchecked, 0 read the
+        # dataset from stdin and true opened the descriptor of stdout
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(dict(TINY_SEARCH, dataset=dataset)))
+        package_root = str(Path(paramloss.cli.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {package_root!r}); import paramloss.cli; "
+                "sys.exit(paramloss.cli.main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", code, "search", "--config", str(config),
+                               "--out", str(tmp_path / "out")], stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_CONFIG
+        assert "dataset must be a string or null" in done.stderr
+
     def test_jobs_below_one_exits_config(self, tmp_path, dataset_dir):
         config = _search_config_file(tmp_path, dataset_dir)
         out = tmp_path / "nojobs"
@@ -446,14 +461,51 @@ class TestInputErrors:
         assert main(["train-eval", str(params_path), "--config", str(config),
                      "--out", str(tmp_path / "te")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("line", ["{\"round\": 1, \"reward\":", "{\"reward\": 0.5}", "[1]"],
-                             ids=["truncated", "no-round", "not-an-object"])
+    @pytest.mark.parametrize("line", ["{\"round\": 1, \"reward\":", "{\"reward\": 0.5}", "[1]",
+                                      "{\"round\": 1, \"reward\": \"x\"}",
+                                      "{\"round\": [1], \"reward\": 0.5}"],
+                             ids=["truncated", "no-round", "not-an-object", "text-reward",
+                                  "list-round"])
     def test_malformed_history_exits_config(self, tmp_path, line):
         good = tmp_path / "a.jsonl"
         good.write_text(json.dumps({"round": 1, "reward": 0.2}) + "\n")
         bad = tmp_path / "b.jsonl"
         bad.write_text(line + "\n")
         assert main(["compare", str(good), str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_directory_input_exits_config(self, tmp_path, dataset_dir, capsys):
+        # a directory where a config, params, dataset or history file goes
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        config = _search_config_file(tmp_path, dataset_dir)
+        dataset_is_folder = tmp_path / "folder_dataset.json"
+        dataset_is_folder.write_text(json.dumps(dict(TINY_SEARCH, dataset=str(folder))))
+        history = tmp_path / "a.jsonl"
+        history.write_text(json.dumps({"round": 1, "reward": 0.2}) + "\n")
+        for argv in (["search", "--config", str(folder)],
+                     ["search", "--config", str(dataset_is_folder)],
+                     ["train-eval", str(folder), "--config", str(config)],
+                     ["export-functions", str(folder)],
+                     ["compare", str(history), str(folder)]):
+            assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"error: {folder} is not a" in err and "Is a directory" in err
+
+    @pytest.mark.parametrize("steps", ["0", "3"])
+    def test_unbuildable_params_exit_config(self, tmp_path, dataset_dir, capsys, steps):
+        # ratios this close to 1 collapse the knots onto x = 1: the params
+        # file gives no loss, whether or not training would take a step
+        top = [[float(np.nextafter(1.0, 0.0))] * 2] * 4
+        params_path = tmp_path / "p.json"
+        params_path.write_text(json.dumps({**LossParams.identity().to_json_dict(),
+                                           "theta2": top}))
+        config = _search_config_file(tmp_path, dataset_dir)
+        assert main(["train-eval", str(params_path), "--config", str(config),
+                     "--steps", steps, "--out", str(tmp_path / "te")]) == EXIT_CONFIG
+        assert main(["export-functions", str(params_path),
+                     "--out", str(tmp_path / "exp")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("collapse") == 2
+        assert not (tmp_path / "te").exists() and not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize("command", [["generate", "--seed", "-1"], ["search", "--seed", "-3"],
                                          ["train-eval", "--substitution", "linear", "--seed",

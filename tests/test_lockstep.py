@@ -5,11 +5,11 @@ _train_lockstep stacks the small per-row work of several samples' steps
 scores, f1, f3 and f5, the finiteness checks and Adam) and keeps each
 sample's pair sums on their own. The chunk tests compare a chunk with
 separate train_inner calls by exact equality of the weights and of the
-reward, for chunks of 1 to 4 samples, including samples that diverge, do
-not build, or meet a mini-batch without positives while the others train
-on. Adam and the mini-batch schedule, dealt one epoch at a time, are
-checked against independent test-side references: a textbook Adam and the
-rule of one shuffled list per sample.
+reward, for chunks of 1 to 4 samples, including samples that diverge or
+meet a mini-batch without positives while the others train on. Adam and
+the mini-batch schedule, dealt one epoch at a time, are checked against
+independent test-side references: a textbook Adam and the rule of one
+shuffled list per sample.
 """
 
 import json
@@ -18,19 +18,15 @@ import numpy as np
 import pytest
 
 from paramloss.apmetric import assign
-from paramloss.errors import (
-    ConstraintViolationError,
-    InvalidInputError,
-    TrainingDivergedError,
-)
+from paramloss.errors import InvalidInputError, TrainingDivergedError
 from paramloss.optim import Adam
 from paramloss.paploss import N_SORTED, LossParams
-from paramloss.piecewise import RatioParams
 from paramloss.search import SearchConfig, random_search, run_search, sample_truncnorm
 from paramloss.toybench import (
     ASSIGN_THRESHOLD,
     DatasetConfig,
     Scene,
+    ToyModel,
     _batch_schedule,
     _train_lockstep,
     generate,
@@ -49,23 +45,19 @@ def _sampled(count, seed=7, **kwargs):
                                  **kwargs) for i in range(count)]
 
 
-def _unbuildable():
-    # ratios this close to 1 collapse the knots onto x = 1
-    theta = RatioParams(np.full((4, 2), np.nextafter(1.0, 0.0)))
-    return LossParams(theta, theta, theta, theta, theta, theta_lambda=0.5)
-
-
 def _outcome(params, train_set, steps, seed, **kwargs):
     """train_inner's model, or the error it raises."""
     try:
         return train_inner(params, train_set, steps, seed, **kwargs)
-    except (TrainingDivergedError, ConstraintViolationError) as exc:
+    except TrainingDivergedError as exc:
         return exc
 
 
 def _assert_chunk_matches_separate(params, train_set, seeds, eval_set, steps=STEPS, **kwargs):
     chunk = _train_lockstep(params, train_set, steps, seeds, **kwargs)
     assert len(chunk) == len(params)
+    # a LossParams always builds, so every sample trains to a model or diverges
+    assert all(isinstance(o, (ToyModel, TrainingDivergedError)) for o in chunk)
     for p, seed, got in zip(params, seeds, chunk):
         want = _outcome(p, train_set, steps, seed, **kwargs)
         assert type(got) is type(want)
@@ -129,16 +121,6 @@ def test_frozen_row_does_not_fail_again():
     assert any(0 in batch and ended[k] < step < max(ended)
                for k, seed in enumerate(seeds)
                for step, batch in enumerate(_list_rule_batches(len(train), 2, STEPS, seed)))
-
-
-@pytest.mark.parametrize("size", CHUNK_SIZES)
-def test_unbuildable_sample_never_joins(size):
-    train, eval_set = generate(SMALL)
-    params = _sampled(size)
-    params[size // 2] = _unbuildable()
-    chunk = _assert_chunk_matches_separate(params, train, list(range(size)), eval_set)
-    assert isinstance(chunk[size // 2], ConstraintViolationError)
-    assert sum(isinstance(o, Exception) for o in chunk) == 1
 
 
 def _without_positives(scene):

@@ -3,7 +3,7 @@ differences, parameter plumbing, handcrafted baselines."""
 
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from paramloss.paploss import (
     loss_forward,
     resolve_functions,
 )
-from paramloss.piecewise import RatioParams
+from paramloss.piecewise import RatioParams, build
 
 from loss_helpers import loss_with_grads
 
@@ -183,6 +183,37 @@ class TestLossParams:
         t = LossParams.identity().theta1
         with pytest.raises(InvalidInputError):
             LossParams(t, t, t, t, t, theta_lambda=0.5, measurement="diou")
+
+    def test_knot_collapse_raises_at_construction(self):
+        # ratios this close to 1 collapse the knots onto x = 1, so no loss
+        # exists; every way of making a LossParams says so
+        top = RatioParams(np.full((4, 2), np.nextafter(1.0, 0.0)))
+        good = LossParams.identity()
+        flat = good.to_flat()
+        flat[:8] = top.flat()
+        with pytest.raises(ConstraintViolationError, match="collapse"):
+            LossParams(top, top, top, top, top, theta_lambda=0.5)
+        with pytest.raises(ConstraintViolationError, match="collapse"):
+            LossParams.from_flat(flat)
+        with pytest.raises(ConstraintViolationError, match="collapse"):
+            LossParams.from_json_dict({**good.to_json_dict(), "theta4": top.ratios.tolist()})
+        with pytest.raises(ConstraintViolationError, match="collapse"):
+            replace(good, theta5=top)
+
+    def test_functions_and_lam_are_built_once(self):
+        rng = np.random.default_rng(317)
+        p = random_loss_params(rng)
+        for fn, theta in zip(p.functions, p.thetas):
+            assert np.array_equal(fn.control_points, build(theta, p.M).control_points)
+        assert p.lam == lambda_from_theta(p.theta_lambda)
+        # the loss reads them from the parameters, not from a rebuild
+        batch = DetectionBatch(np.array([[0.1, 0.1, 0.5, 0.5], [0.2, 0.2, 0.6, 0.6]]),
+                               np.array([0.7, 0.4]), np.array([[0.1, 0.1, 0.5, 0.5]]),
+                               np.array([0, -1]))
+        _, cache = loss_forward(batch, p)
+        assert cache.functions is p.functions
+        q = replace(p, theta_lambda=0.75)
+        assert q.lam == lambda_from_theta(0.75) and q.functions is not p.functions
 
     def test_identity_functions_are_identity(self):
         fns = resolve_functions(LossParams.identity())

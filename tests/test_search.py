@@ -15,6 +15,7 @@ from paramloss.paploss import LossParams
 from paramloss.search import (
     PROJECTION_MARGIN,
     SearchConfig,
+    _evaluate_chunk,
     _ndtr,
     _ndtri,
     best_so_far_curve,
@@ -51,6 +52,8 @@ class TestSearchConfig:
         # the PPO2 update's own settings are not search config keys
         {"epsilon": 0.1}, {"inner_iterations": 100}, {"inner_lr": 0.01},
         {"inner_warmup": 30},
+        # the dataset is a path or null: 0 would read stdin, true fd 1
+        {"dataset": 0}, {"dataset": True}, {"dataset": ["a"]}, {"dataset": 1.5},
     ])
     def test_invalid_rejected(self, kwargs):
         # through the config-file path, which also rejects unknown keys
@@ -400,6 +403,15 @@ class TestRunSearch:
         assert all(r["reward"] == 0.0 for r in flagged)
         assert best is not None
 
+    def test_all_failed_search_has_no_best(self, data, monkeypatch):
+        def always_diverges(params, train_set, steps, seeds, **kwargs):
+            return [TrainingDivergedError(1) for _ in params]
+
+        monkeypatch.setattr(paramloss.toybench, "_train_lockstep", always_diverges)
+        best, history = run_search(tiny_config(T=2, S=2, steps=2), dataset=data)
+        assert best is None
+        assert [r["diverged"] for r in history if "reward" in r] == [True] * 4
+
     def test_parallel_matches_serial(self, data):
         config = tiny_config(T=2, S=3, steps=3)
         best_serial, hist_serial = run_search(config, dataset=data, jobs=1)
@@ -509,3 +521,26 @@ class TestBestSoFarCurve:
 
     def test_empty(self):
         assert best_so_far_curve([]) == []
+
+
+# ratios this close to 1 collapse the knots onto x = 1, with a valid theta_lambda
+UNBUILDABLE = np.append(np.full(40, np.nextafter(1.0, 0.0)), 0.5)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_unbuildable_sample_scores_zero_and_leaves_the_others(data, size):
+    # _evaluate_chunk is where a sample turns out unbuildable: it gets
+    # (0.0, True) and the chunk's other samples train as if it were absent
+    config = tiny_config(steps=3)
+    mu = LossParams.identity().to_flat()
+    thetas = [sample_truncnorm(mu, 0.2, np.random.default_rng([3, i])) for i in range(size)]
+    seeds = list(range(size))
+    thetas[size // 2] = UNBUILDABLE
+    got = [result[:2] for result in _evaluate_chunk(data, config, thetas, seeds)]
+    assert got[size // 2] == (0.0, True)
+    others = [k for k in range(size) if k != size // 2]
+    if others:
+        want = [result[:2] for result in _evaluate_chunk(
+            data, config, [thetas[k] for k in others], [seeds[k] for k in others])]
+        assert [got[k] for k in others] == want
+        assert not any(diverged for _, diverged in want)
