@@ -231,12 +231,13 @@ def cmd_export_functions(args) -> int:
 
 def _history_curve(path):
     """best_so_far_curve of a history.jsonl as a dict; ConfigError for a
-    directory, a line that is not a JSON object, or a sample record whose
-    round is not an integer or whose reward is not a real number."""
+    directory, a file that is not text, a line that is not a JSON object,
+    or a sample record whose round is not an integer or whose reward is not
+    a real number."""
     try:
         with open(path) as fh:
             history = [json.loads(line) for line in fh if line.strip()]
-    except (IsADirectoryError, json.JSONDecodeError) as exc:
+    except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path} is not a search history: {exc}") from exc
 
     def bad_record(message):
@@ -324,6 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # every command makes --out a directory only after its work, so a
+        # path that cannot become one is refused before any
+        out = Path(args.out).absolute()
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"--out {args.out}: {nearest} is not a directory")
         return args.fn(args)
     except (ParamLossError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

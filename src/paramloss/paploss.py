@@ -266,45 +266,18 @@ def resolve_functions(params: LossParams) -> tuple:
 
 @dataclass(eq=False)
 class LossCache:
-    """Intermediates reused by the backward pass, for P positives of N.
+    """One ranking's loss gradients and the vectors they came from, for P
+    positives of N predictions; loss_forward computes them with the value."""
 
-    Per-prediction values are kept for the positives i = rows[k] alone; the
-    (N,) vectors are the scores and the numerator sums' column weights.
-
-    On the dense path (see loss_forward) the cache holds three (P, N)
-    arrays, O(P·N): row k belongs to the k-th positive i = rows[k], and the
-    masked slopes of f2 and f4 are their slopes at d_ji on the entries where
-    the clip is not saturated and j != i, and exactly 0.0 elsewhere. On the
-    sorted path it holds those slopes summed over each row instead, O(N),
-    and the backward pass sums the columns from the sorted scores again.
-    The masked slopes of f1, f3 and f5 are their slopes at l on the entries
-    with l > 0, and exactly 0.0 elsewhere; there the loc-score gradient is 0.
-    """
-
-    scores: np.ndarray       # (N,) the ranking's classification scores
-    params: LossParams
-    functions: tuple         # f1..f5
     rows: np.ndarray         # (P,) indices of the positives
-    l: np.ndarray            # (P,) localization scores
-    col_weights: np.ndarray  # (N,) 1 - f3(l_j); 1.0 at the negatives
-    f5l: np.ndarray          # (P,)
-    f1l_slope: np.ndarray    # (P,) f1's masked slope at l
-    f3l_slope: np.ndarray    # (P,) f3's masked slope at l
-    f5l_slope: np.ndarray    # (P,) f5's masked slope at l
     numer: np.ndarray        # (P,) n_i
     denom: np.ndarray        # (P,) m_i
-    loc_grads: np.ndarray    # (P, 4) gradients of l wrt the positives' boxes
-    # dense path
-    f2d: object = None       # (P, N) f2(d) with the self-pairs zeroed
-    f2_slope: object = None  # (P, N) f2's masked slope
-    f4_slope: object = None  # (P, N) f4's masked slope; None under blocking
-    # sorted path
-    f2_row_slope: object = None  # (P,) sum_j f2'(d_ji) (1 - f3(l_j)) over the masked pairs
-    f4_row_slope: object = None  # (P,) sum_j f4'(d_ji) over them; None under blocking
+    score_grads: np.ndarray  # (N,)
+    box_grads: np.ndarray    # (N, 4)
 
 
 def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
-    """Loss value plus the cache consumed by loss_backward.
+    """Loss value plus the cache that loss_backward reads its gradients from.
 
     functions overrides the five shape functions (anything with PiecewiseFn's
     eval and eval_with_slope, pinned at f(0) = 0); by default they are
@@ -312,24 +285,26 @@ def loss_forward(batch: DetectionBatch, params: LossParams, functions=None):
     prediction, so the trainer can skip the step instead of averaging over
     an empty set.
 
-    The pair sums over the batch come from one of two paths. When f2 and f4
-    are both PiecewiseFn and the batch holds at least N_SORTED predictions,
-    none of them scored beyond +-2^10, they are read from the scores sorted
-    once (_sorted_rows); otherwise they are summed over (P, N) arrays
-    (_dense_rows). The two agree within rounding; the rest of the loss is
-    the same code for both.
+    This is the one-ranking call of _stack_grads, so the value and both
+    gradients come from one pass, the trainer's. The pair sums over the
+    batch come from one of two paths. When f2 and f4 are both PiecewiseFn
+    and the batch holds at least N_SORTED predictions, none of them scored
+    beyond +-2^10, they are read from the scores sorted once (_sorted_rows);
+    otherwise they are summed over (P, N) arrays (_dense_rows). The two
+    agree within rounding; the rest of the loss is the same code for both.
     """
     if functions is None:
         functions = params.functions
     elif len(functions) != 5:
         raise InvalidInputError("functions override must supply exactly 5 functions")
-    rows = np.flatnonzero(batch.positive_mask)
-    if rows.size == 0:
+    positive = batch.positive_mask
+    if not positive.any():
         raise EmptyPositiveError("loss requires at least one positive prediction")
-    values, caches, _ = _forward([batch.scores], [rows], batch.gt_boxes[batch.assignment[rows]],
-                                 batch.boxes[rows], [params], [functions],
-                                 _ShapeRows([functions]))
-    return values[0], caches[0]
+    values, score_grads, box_grads, (numer, denom) = _stack_grads(
+        batch.boxes[None], batch.scores[None], batch.gt_boxes, batch.assignment[None],
+        positive[None], [params], [functions], _ShapeRows([functions]))
+    cache = LossCache(np.flatnonzero(positive), numer, denom, score_grads[0], box_grads[0])
+    return float(values[0]), cache
 
 
 class _ShapeRows:
@@ -383,57 +358,13 @@ class _ShapeRows:
         return list(zip(value, slope))
 
 
-def _forward(scores, rows, gt_rows, box_rows, params, functions, shapes):
-    """loss_forward of several joint rankings at once: (values, caches, rows).
+def _dense_rows(s, rows, f2, f4, weights, f5l, block):
+    """(numer, denom, score gradients, cross) of one ranking over its (P, N)
+    pair arrays.
 
-    Ranking k ranks the (N,) scores[k], with the positive rows rows[k],
-    loss parameters params[k] (all of one measurement) and shape functions
-    functions[k]; shapes is their _ShapeRows. gt_rows and box_rows hold the
-    positives' assigned ground truths and boxes, ranking after ranking. The
-    positives' localization scores and f1, f3 and f5 at them are computed
-    for all rankings at once, and the pair sums ranking by ranking. A
-    ranking with no rows gets nan for its value and None for its cache.
-    Every cache holds views of the stacked row arrays, returned as the
-    third item for _box_row_grads.
-    """
-    counts = [r.size for r in rows]
-    l, loc_grads = _positive_loc_scores(gt_rows, box_rows, params[0].measurement)
-    # a slope at l = 0 may diverge (sqrt), and the loc-score gradient there
-    # is 0, so it is masked out
-    (f1l, f1l_slope), (f3l, f3l_slope), (f5l, f5l_slope) = shapes.eval_with_slope(
-        l, l > 0.0, counts)
-    values, caches = [], []
-    end = 0
-    for s, r, p, fns in zip(scores, rows, params, functions):
-        if r.size == 0:
-            values.append(np.nan)
-            caches.append(None)
-            continue
-        part = slice(end, end + r.size)
-        end += r.size
-        # a negative has l = 0, so its weight is 1 - f3(0) = 1
-        col_weights = np.ones_like(s)
-        col_weights[r] = 1.0 - f3l[part]
-        _, f2, _, f4, _ = fns
-        # the sorted path's prefix sums round at the scale of max|s| (_piece_sums)
-        sort = (s.size >= N_SORTED and isinstance(f2, PiecewiseFn)
-                and isinstance(f4, PiecewiseFn) and np.abs(s).max() <= 2.0**10)
-        pair_rows = _sorted_rows if sort else _dense_rows
-        numer, denom_sums, pair_fields = pair_rows(s, r, f2, f4, col_weights,
-                                                   p.block_denominator)
-        denom = 1.0 + denom_sums
-        values.append(float(-(f1l[part] - (numer / denom) * f5l[part]).sum() / r.size))
-        caches.append(LossCache(s, p, fns, r, l[part], col_weights, f5l[part],
-                                f1l_slope[part], f3l_slope[part], f5l_slope[part], numer,
-                                denom, loc_grads[part], **pair_fields))
-    return values, caches, (f1l_slope, f3l_slope, f5l_slope, loc_grads)
-
-
-def _dense_rows(s, rows, f2, f4, weights, block):
-    """(numer, denominator sums, cache fields) over the (P, N) pair arrays.
-
-    numer_k = sum_{j != i} f2(d_ji) weights_j and the denominator sum is
-    sum_{j != i} f4(d_ji), for i = rows[k].
+    numer_k = sum_{j != i} f2(d_ji) weights_j and denom_k = 1 + sum_{j != i}
+    f4(d_ji), for i = rows[k]; cross_k = sum_{i != k} f5(l_i) / m_i f2(d_ki)
+    is the f3 term's factor in _box_row_grads.
     """
     self_pairs = (np.arange(rows.size), rows)
     d = s[None, :] - s[rows, None]  # raw s_j - s_i at [k, j], i = rows[k]; normalized in place
@@ -451,20 +382,49 @@ def _dense_rows(s, rows, f2, f4, weights, block):
     else:
         f4d, f4_slope = f4.eval_with_slope(d, active)
     f4d[self_pairs] = 0.0
-    return (f2d @ weights, f4d.sum(axis=1),
-            {"f2d": f2d, "f2_slope": f2_slope, "f4_slope": f4_slope})
+    numer = f2d @ weights
+    denom = 1.0 + f4d.sum(axis=1)
+    g = f5l / denom  # per-positive ratio weight f5(l_i) / m_i
+    h = None if block else f5l * numer / denom**2
+    # the masked slopes already carry d(d_ji)/ds up to its sign and 1/2;
+    # weighted in place, like f2d above, so the pass holds no more (P, N)
+    # arrays than the value alone needs
+    w = f2_slope
+    w *= weights[None, :]
+    f4_sums = None if h is None else (h @ f4_slope, f4_slope.sum(axis=1))
+    # sum_{i != k} g_i f2(d_ki), self-pairs already zero
+    cross = (g @ f2d)[rows]
+    return numer, denom, _score_grad(rows, g, (g @ w, w.sum(axis=1)), h, f4_sums), cross
 
 
-def _sorted_rows(s, rows, f2, f4, weights, block):
-    """_dense_rows' sums from the scores sorted once, with the row slope
-    sums that loss_backward needs kept in place of the (P, N) arrays."""
+def _sorted_rows(s, rows, f2, f4, weights, f5l, block):
+    """_dense_rows from the scores sorted once, with no (P, N) array.
+
+    The column sums of the gradients rank each prediction j against the
+    positives, which is _piece_sums on the negated scores, since
+    d_ji = ((-s_i) - (-s_j) + 1) / 2.
+    """
     order = np.argsort(s, kind="stable")
     points = s[order]
     numer, f2_row_slope = _piece_sums(f2, points, weights[order], s[rows], weights[rows])
     ones = np.ones_like(s)
     denom_sums, f4_row_slope = _piece_sums(f4, points, ones, s[rows], ones[rows])
-    return numer, denom_sums, {"f2_row_slope": f2_row_slope,
-                               "f4_row_slope": None if block else f4_row_slope}
+    denom = 1.0 + denom_sums
+    g = f5l / denom
+    h = None if block else f5l * numer / denom**2
+    neg = -s
+    order = np.argsort(neg[rows], kind="stable")
+    points = neg[rows][order]
+
+    def columns(fn, row_weights):
+        own = np.zeros_like(neg)
+        own[rows] = row_weights
+        return _piece_sums(fn, points, row_weights[order], neg, own)
+
+    values, slopes = columns(f2, g)
+    f4_sums = None if h is None else (columns(f4, h)[1], f4_row_slope)
+    score_grads = _score_grad(rows, g, (weights * slopes, f2_row_slope), h, f4_sums)
+    return numer, denom, score_grads, values[rows]
 
 
 def _piece_sums(fn, points, weights, queries, own_weights):
@@ -521,76 +481,32 @@ def _ranked_grad(r, col, row, rows):
     return col
 
 
-def _dense_grad_sums(cache, g, h):
-    """((col, row) of f2's weighted slopes, cross, (col, row) of f4's or
-    None) from the cached (P, N) arrays."""
-    # the masked slopes already carry d(d_ji)/ds up to its sign and 1/2
-    w = cache.f2_slope * cache.col_weights[None, :]
-    f4_sums = None if h is None else (h @ cache.f4_slope, cache.f4_slope.sum(axis=1))
-    # sum_{i != k} g_i f2(d_ki), self-pairs already zero
-    return (g @ w, w.sum(axis=1)), (g @ cache.f2d)[cache.rows], f4_sums
-
-
-def _sorted_grad_sums(cache, g, h):
-    """_dense_grad_sums from the sorted scores: the column sums rank each
-    prediction j against the positives, which is _piece_sums on the negated
-    scores, since d_ji = ((-s_i) - (-s_j) + 1) / 2."""
-    rows = cache.rows
-    neg = -cache.scores
-    order = np.argsort(neg[rows], kind="stable")
-    points = neg[rows][order]
-
-    def columns(fn, weights):
-        own = np.zeros_like(neg)
-        own[rows] = weights
-        return _piece_sums(fn, points, weights[order], neg, own)
-
-    _, f2, _, f4, _ = cache.functions
-    values, slopes = columns(f2, g)
-    f4_sums = None if h is None else (columns(f4, h)[1], cache.f4_row_slope)
-    return (cache.col_weights * slopes, cache.f2_row_slope), values[rows], f4_sums
+def _score_grad(rows, g, f2_sums, h, f4_sums):
+    """Score gradients of one ranking from the (column, row) sums of f2's
+    weighted slopes under g, less those of f4's under h unless h is None."""
+    score_grads = _ranked_grad(g, *f2_sums, rows) / (2.0 * rows.size)
+    if h is not None:
+        score_grads -= _ranked_grad(h, *f4_sums, rows) / (2.0 * rows.size)
+    return score_grads
 
 
 def loss_backward(cache: LossCache):
-    """Analytic gradients of the cached forward pass, under its parameters.
+    """(score_grads, box_grads) of the loss_forward call that made the cache.
 
-    Returns (score_grads, box_grads) and leaves the cache as it was. The
+    Returns new arrays on every call, so the cache stays as it was. The
     denominator is differentiated only when block_denominator is false; box
     gradients carry the lambda scale and are exactly zero for negative
     predictions.
     """
-    score_grads, cross = _score_grads(cache)
-    # loss_forward builds no cache for a batch without positives
-    box_grads = np.zeros((cache.scores.size, 4))
-    box_grads[cache.rows] = _box_row_grads(
-        (cache.f1l_slope, cache.f3l_slope, cache.f5l_slope, cache.loc_grads), cache.numer,
-        cache.denom, cross, cache.rows.size, cache.params.lam)
-    return score_grads, box_grads
-
-
-def _score_grads(cache: LossCache):
-    """(score gradients, cross) of one ranking: cross_k = sum_{i != k}
-    f5(l_i) / m_i f2(d_ki) is the f3 term's factor in _box_row_grads."""
-    params = cache.params
-    rows = cache.rows
-    numer, denom, f5l = cache.numer, cache.denom, cache.f5l
-
-    g = f5l / denom  # per-positive ratio weight f5(l_i) / m_i
-    h = None if params.block_denominator else f5l * numer / denom**2
-    grad_sums = _dense_grad_sums if cache.f2d is not None else _sorted_grad_sums
-    f2_sums, cross, f4_sums = grad_sums(cache, g, h)
-    score_grads = _ranked_grad(g, *f2_sums, rows) / (2.0 * rows.size)
-    if h is not None:
-        score_grads -= _ranked_grad(h, *f4_sums, rows) / (2.0 * rows.size)
-    return score_grads, cross
+    return cache.score_grads.copy(), cache.box_grads.copy()
 
 
 def _box_row_grads(row_arrays, numer, denom, cross, count, lam):
     """Box gradients of the loss at the positive rows, (R, 4).
 
     row_arrays is (f1l_slope, f3l_slope, f5l_slope, loc_grads) at the rows;
-    count (the ranking's positives) and lam (its gradient scale) are
-    scalars for one ranking or (R,) and (R, 1) arrays for rows of several.
+    count (the positives of each row's ranking) and lam (that ranking's
+    gradient scale) are (R,) and (R, 1) arrays.
     """
     f1l_slope, f3l_slope, f5l_slope, loc_grads = row_arrays
     dsum_dl = f1l_slope - (numer / denom) * f5l_slope + f3l_slope * cross
@@ -599,26 +515,49 @@ def _box_row_grads(row_arrays, numer, denom, cross, count, lam):
 
 
 def _stack_grads(boxes, scores, gt_boxes, assignment, positive, params, functions, shapes):
-    """Loss values (S,), score gradients (S, N) and box gradients (S, N, 4)
-    of S joint rankings at once: ranking k ranks the predictions
-    (boxes[k], scores[k]) under assignment[k] into gt_boxes, with the
-    positives positive[k], params[k] (all of one measurement; its lam
-    scales the box gradients) and functions[k]; shapes is their _ShapeRows.
-    A ranking without positives gets a nan value and zero gradients.
+    """The loss of S joint rankings at once, in one pass: values (S,), score
+    gradients (S, N), box gradients (S, N, 4) and (numer, denom), the pair
+    sums of every positive row, ranking after ranking.
+
+    Ranking k ranks the predictions (boxes[k], scores[k]) under
+    assignment[k] into gt_boxes, with the positives positive[k], params[k]
+    (all of one measurement; its lam scales the box gradients) and
+    functions[k]; shapes is their _ShapeRows. The positives' localization
+    scores and f1, f3 and f5 at them are computed for all rankings at once,
+    and the pair sums ranking by ranking. A ranking without positives gets
+    a nan value and zero gradients.
     """
-    rows = [np.flatnonzero(p) for p in positive]
-    values, caches, row_arrays = _forward(scores, rows, gt_boxes[assignment[positive]],
-                                          boxes[positive], params, functions, shapes)
+    counts = np.count_nonzero(positive, axis=1)
+    l, loc_grads = _positive_loc_scores(gt_boxes[assignment[positive]], boxes[positive],
+                                        params[0].measurement)
+    # a slope at l = 0 may diverge (sqrt), and the loc-score gradient there
+    # is 0, so it is masked out
+    (f1l, f1l_slope), (f3l, f3l_slope), (f5l, f5l_slope) = shapes.eval_with_slope(
+        l, l > 0.0, counts)
+    # a negative has l = 0, so its column weight is 1 - f3(0) = 1
+    col_weights = np.ones(scores.shape)
+    col_weights[positive] = 1.0 - f3l
+    values = np.full(len(params), np.nan)
     score_grads = np.zeros(scores.shape)
-    ranked = []
-    for k, cache in enumerate(caches):
-        if cache is not None:
-            score_grads[k], cross = _score_grads(cache)
-            ranked.append((cache.numer, cache.denom, cross))
-    numer, denom, cross = (np.concatenate(parts) for parts in zip(*ranked))
-    counts = np.array([r.size for r in rows])
+    numer, denom, cross = np.empty((3, l.size))
+    end = 0
+    for k, (s, p, fns) in enumerate(zip(scores, params, functions)):
+        if counts[k] == 0:
+            continue
+        rows = np.flatnonzero(positive[k])
+        part = slice(end, end + rows.size)
+        end += rows.size
+        _, f2, _, f4, _ = fns
+        # the sorted path's prefix sums round at the scale of max|s| (_piece_sums)
+        sort = (s.size >= N_SORTED and isinstance(f2, PiecewiseFn)
+                and isinstance(f4, PiecewiseFn) and np.abs(s).max() <= 2.0**10)
+        pair_rows = _sorted_rows if sort else _dense_rows
+        numer[part], denom[part], score_grads[k], cross[part] = pair_rows(
+            s, rows, f2, f4, col_weights[k], f5l[part], p.block_denominator)
+        values[k] = -(f1l[part] - (numer[part] / denom[part]) * f5l[part]).sum() / rows.size
     lams = np.array([p.lam for p in params])
     box_grads = np.zeros(boxes.shape)
-    box_grads[positive] = _box_row_grads(row_arrays, numer, denom, cross, counts.repeat(counts),
+    box_grads[positive] = _box_row_grads((f1l_slope, f3l_slope, f5l_slope, loc_grads), numer,
+                                         denom, cross, counts.repeat(counts),
                                          lams.repeat(counts)[:, None])
-    return np.array(values), score_grads, box_grads
+    return values, score_grads, box_grads, (numer, denom)

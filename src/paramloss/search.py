@@ -16,7 +16,7 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -304,6 +304,8 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
     workers = -(-config.S // chunk)
     pool = (ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(dataset,))
             if workers > 1 else nullcontext())
+    # a worker reads its scenes from _init_worker, never the dataset path
+    task_config = replace(config, dataset=None)
     with pool:
         for t, done in enumerate(range(0, budget, config.S), start=1):
             thetas = [propose(t, np.random.default_rng([config.seed, t, i]))
@@ -313,7 +315,7 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
                 starts = range(0, len(thetas), chunk)
                 # map() yields results in submission order, keeping parallel
                 # runs byte-identical to serial ones
-                parts = pool.map(_evaluate_in_worker, [config] * len(starts),
+                parts = pool.map(_evaluate_in_worker, [task_config] * len(starts),
                                  [thetas[a:a + chunk] for a in starts],
                                  [seeds[a:a + chunk] for a in starts])
                 results = [result for part in parts for result in part]

@@ -251,11 +251,11 @@ def save_dataset(path, config: DatasetConfig, train, eval_scenes):
 
 def read_json(path):
     """The JSON value in the file at path; ConfigError for a directory or a
-    file that is not JSON (a missing file raises FileNotFoundError)."""
+    file that is not JSON text (a missing file raises FileNotFoundError)."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (IsADirectoryError, json.JSONDecodeError) as exc:
+    except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path} is not a JSON file: {exc}") from exc
 
 
@@ -561,7 +561,7 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
         positive = (assignment >= 0) & ~(failed | done)[:, None]
         ranked = positive.any(axis=1)
         if ranked.any():
-            values, score_grads, box_grads = paploss._stack_grads(
+            values, score_grads, box_grads, _ = paploss._stack_grads(
                 boxes, scores, gts, assignment, positive, params, fns, shapes)
             finite = ~ranked | (np.isfinite(values) & np.isfinite(score_grads).all(axis=1)
                                 & np.isfinite(box_grads).all(axis=(1, 2)))

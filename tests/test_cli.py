@@ -474,22 +474,53 @@ class TestInputErrors:
         assert main(["compare", str(good), str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
 
     def test_directory_input_exits_config(self, tmp_path, dataset_dir, capsys):
-        # a directory where a config, params, dataset or history file goes
+        # a directory, or a file that is not UTF-8 text, where a config,
+        # params, dataset or history file goes
         folder = tmp_path / "folder"
         folder.mkdir()
+        binary = tmp_path / "bin.json"
+        binary.write_bytes(b"\xff\xfe\x00")
         config = _search_config_file(tmp_path, dataset_dir)
-        dataset_is_folder = tmp_path / "folder_dataset.json"
-        dataset_is_folder.write_text(json.dumps(dict(TINY_SEARCH, dataset=str(folder))))
         history = tmp_path / "a.jsonl"
         history.write_text(json.dumps({"round": 1, "reward": 0.2}) + "\n")
-        for argv in (["search", "--config", str(folder)],
-                     ["search", "--config", str(dataset_is_folder)],
-                     ["train-eval", str(folder), "--config", str(config)],
-                     ["export-functions", str(folder)],
-                     ["compare", str(history), str(folder)]):
-            assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-            err = capsys.readouterr().err
-            assert f"error: {folder} is not a" in err and "Is a directory" in err
+        for bad, reason in ((folder, "Is a directory"), (binary, "can't decode")):
+            dataset_is_bad = tmp_path / "bad_dataset.json"
+            dataset_is_bad.write_text(json.dumps(dict(TINY_SEARCH, dataset=str(bad))))
+            for argv in (["search", "--config", str(bad)],
+                         ["search", "--config", str(dataset_is_bad)],
+                         ["train-eval", str(bad), "--config", str(config)],
+                         ["export-functions", str(bad)],
+                         ["compare", str(history), str(bad)],
+                         ["compare", str(bad), str(bad)]):
+                assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+                err = capsys.readouterr().err
+                assert f"error: {bad} is not a" in err and reason in err
+
+    def test_out_that_cannot_be_a_directory_exits_before_any_work(self, tmp_path, dataset_dir,
+                                                                  monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("generate", "run_search", "random_search", "train_inner"):
+            monkeypatch.setattr(paramloss.cli, name, never)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        dataset_config = tmp_path / "dataset_config.json"
+        dataset_config.write_text(json.dumps(TINY_DATASET))
+        config = _search_config_file(tmp_path, dataset_dir)
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(LossParams.identity().to_json_dict()))
+        history = tmp_path / "a.jsonl"
+        history.write_text(json.dumps({"round": 1, "reward": 0.2}) + "\n")
+        for out in (afile, afile / "sub"):
+            for argv in (["generate", "--config", str(dataset_config)],
+                         ["search", "--config", str(config)],
+                         ["train-eval", "--substitution", "linear", "--config", str(config)],
+                         ["export-functions", str(params)],
+                         ["compare", str(history), str(history)]):
+                assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+                assert f"{afile} is not a directory" in capsys.readouterr().err
+        assert afile.read_text() == "kept"
 
     @pytest.mark.parametrize("steps", ["0", "3"])
     def test_unbuildable_params_exit_config(self, tmp_path, dataset_dir, capsys, steps):

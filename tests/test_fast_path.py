@@ -2,7 +2,7 @@
 
 PiecewiseFn finds a point's segment by counting the interior knots at or
 below it, and eval_with_slope takes a function's value and its masked slope
-from one such count, which loss_forward keeps in place of the score
+from one such count, which loss_forward uses in place of the score
 differences; train_inner builds its shape functions once per training, updates
 one weight buffer in place and skips DetectionBatch's re-validation on every
 step. The detector and the overlap kernels treat a box as two (x, y) corner
@@ -513,6 +513,19 @@ def _loss(batch, params, functions):
     return (value, *loss_backward(cache))
 
 
+def _spy(monkeypatch, name):
+    """[(args, result)] of every call to paploss.<name>, which still runs."""
+    calls = []
+    original = getattr(paploss, name)
+
+    def spy(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(paploss, name, spy)
+    return calls
+
+
 @loss_cases
 def test_loss_matches_whole_array_reference(override, measurement, block):
     params = _sampled_params(7, measurement=measurement, block_denominator=block)
@@ -538,28 +551,32 @@ def test_loss_matches_all_rows_formula(override, measurement, block):
 
 
 @pytest.mark.parametrize("block", [True, False], ids=["blocked", "unblocked"])
-def test_cache_holds_positive_rows(block):
+def test_cache_holds_positive_rows(block, monkeypatch):
     batch = _saturated_batch(3)
     n, p = batch.scores.size, batch.n_positive
     assert 0 < p < n
-    _, cache = loss_forward(batch, _sampled_params(7, block_denominator=block))
-    assert np.array_equal(cache.rows, np.flatnonzero(batch.positive_mask))
-    matrices = [cache.f2d, cache.f2_slope] + ([] if block else [cache.f4_slope])
-    assert all(m.shape == (p, n) for m in matrices)
-    assert block == (cache.f4_slope is None)
-    assert cache.loc_grads.shape == (p, 4)
-    for vec in (cache.l, cache.f5l, cache.f1l_slope, cache.f3l_slope, cache.f5l_slope,
-                cache.numer, cache.denom):
-        assert vec.shape == (p,)
+    params = _sampled_params(7, block_denominator=block)
+    calls = _spy(monkeypatch, "_dense_rows")
+    _, cache = loss_forward(batch, params)
+    rows = np.flatnonzero(batch.positive_mask)
+    assert np.array_equal(cache.rows, rows)
+    shapes = {f.name: getattr(cache, f.name).shape for f in fields(cache)}
+    assert shapes == {"rows": (p,), "numer": (p,), "denom": (p,), "score_grads": (n,),
+                      "box_grads": (n, 4)}
     assert np.all(cache.numer > 0.0) and np.all(cache.denom > 1.0)
-    # 1 - f3(0) at every negative, exactly
-    assert cache.col_weights.shape == (n,)
-    assert np.all(cache.col_weights[~batch.positive_mask] == 1.0)
-    assert np.array_equal(cache.col_weights[cache.rows], 1.0 - cache.functions[2].eval(cache.l))
+    # the (P, N) pair arrays rank the positive rows, under the column
+    # weights 1 - f3(l_j): 1 - f3(0) at every negative, exactly
+    ((_, got_rows, _, _, weights, f5l, got_block), _), = calls
+    assert np.array_equal(got_rows, rows) and got_block == block
+    l = loc_scores(batch, params.measurement)[rows]
+    assert weights.shape == (n,)
+    assert np.all(weights[~batch.positive_mask] == 1.0)
+    assert np.array_equal(weights[rows], 1.0 - params.functions[2].eval(l))
+    assert np.array_equal(f5l, params.functions[4].eval(l))
 
 
 @pytest.mark.parametrize("measurement", ["iou", "giou", "l1"])
-def test_loc_scores_and_gradients_are_the_rescaled_measurement(measurement):
+def test_loc_scores_and_gradients_are_the_rescaled_measurement(measurement, monkeypatch):
     # GIoU in [-1, 1] is mapped through (g + 1) / 2, which halves its gradient
     good = _saturated_batch(3)
     boxes = good.boxes.copy()
@@ -574,9 +591,11 @@ def test_loc_scores_and_gradients_are_the_rescaled_measurement(measurement):
     want = np.zeros(pos.size)
     want[pos] = vals
     _assert_same_bits(loc_scores(batch, measurement), want)
-    _, cache = loss_forward(batch, _sampled_params(7, measurement=measurement))
-    _assert_same_bits(cache.l, vals)
-    _assert_same_bits(cache.loc_grads, grads)
+    calls = _spy(monkeypatch, "_positive_loc_scores")
+    loss_forward(batch, _sampled_params(7, measurement=measurement))
+    (_, (l, loc_grads)), = calls
+    _assert_same_bits(l, vals)
+    _assert_same_bits(loc_grads, grads)
 
 
 def test_sqrt_slope_never_sees_a_saturated_clip():
@@ -671,20 +690,24 @@ def _wide_batch(seed, scenes, scores_kind, size=None):
     return DetectionBatch(boxes[:size], scores[:size], gts, assignment[:size])
 
 
-def _value_scale(cache):
+def _value_scale(batch, params, functions, cache):
     """The largest per-positive term of the loss, a mean that may cancel
     to far below its terms: the value rounds relative to this."""
-    f1l = cache.functions[0].eval(cache.l)
-    ratio = cache.numer / cache.denom * cache.f5l
-    return max(np.max(np.abs(f1l)), np.max(np.abs(ratio)))
+    f1, _, _, _, f5 = functions or params.functions
+    l = loc_scores(batch, params.measurement)[cache.rows]
+    ratio = cache.numer / cache.denom * f5.eval(l)
+    return max(np.max(np.abs(f1.eval(l))), np.max(np.abs(ratio)))
 
 
 def _assert_sorted_matches_reference(batch, params, functions=None):
-    value, cache = loss_forward(batch, params, functions)
-    assert cache.f2d is None and cache.f2_slope is None and cache.f4_slope is None
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _spy(monkeypatch, "_sorted_rows")
+        value, cache = loss_forward(batch, params, functions)
+    assert len(calls) == 1
     score_grads, box_grads = loss_backward(cache)
     ref_value, ref_score_grads, ref_box_grads = _reference_loss(batch, params, functions)
-    assert abs(value - ref_value) <= 1e-13 * max(abs(ref_value), _value_scale(cache))
+    scale = _value_scale(batch, params, functions, cache)
+    assert abs(value - ref_value) <= 1e-13 * max(abs(ref_value), scale)
     for actual, expected in ((score_grads, ref_score_grads), (box_grads, ref_box_grads)):
         assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -723,15 +746,16 @@ def test_sorted_path_matches_reference_on_random_functions(scores_kind, M, block
     _assert_sorted_matches_reference(batch, params, functions)
 
 
-def test_sorted_path_gradients_match_finite_differences():
+def test_sorted_path_gradients_match_finite_differences(monkeypatch):
     # unblocked and lambda = 1, so the gradients are those of the value
     flat = _sampled_params(13).to_flat()
     flat[-1] = 0.5
     params = LossParams.from_flat(flat, block_denominator=False)
     batch = _wide_batch(3, 16, "detector")
     assert batch.scores.size >= N_SORTED
+    calls = _spy(monkeypatch, "_sorted_rows")
     _, cache = loss_forward(batch, params)
-    assert cache.f2d is None
+    assert len(calls) == 1
     score_grads, box_grads = loss_backward(cache)
     rng = np.random.default_rng(53)
     eps = 1e-7
@@ -760,36 +784,71 @@ def test_sorted_path_gradients_match_finite_differences():
     assert np.all(box_grads[negatives] == 0.0)
 
 
+@pytest.mark.parametrize("scenes", [8, 64], ids=["N128", "N1024"])
 @pytest.mark.parametrize("block", [True, False], ids=["blocked", "unblocked"])
-def test_sorted_cache_holds_no_pairwise_array(block):
+def test_stacked_rankings_equal_one_ranking_calls(scenes, block):
+    # the trainer's chunk and loss_forward run one pass: three rankings, each
+    # under its own parameters, the middle one without positives, equal
+    # their one-ranking calls bit for bit
+    batches = [_wide_batch(seed, scenes, "detector") for seed in (1, 2, 3)]
+    params = [_sampled_params(seed, block_denominator=block) for seed in (21, 22, 23)]
+    positive = np.stack([b.positive_mask for b in batches])
+    positive[1] = False
+    fns = [p.functions for p in params]
+    values, score_grads, box_grads, (numer, denom) = paploss._stack_grads(
+        np.stack([b.boxes for b in batches]), np.stack([b.scores for b in batches]),
+        batches[0].gt_boxes, np.stack([b.assignment for b in batches]), positive, params,
+        fns, paploss._ShapeRows(fns))
+    assert np.isnan(values[1])
+    assert np.all(score_grads[1] == 0.0) and np.all(box_grads[1] == 0.0)
+    end = 0
+    for k in (0, 2):
+        value, cache = loss_forward(batches[k], params[k])
+        assert values[k] == value
+        _assert_same_bits(score_grads[k], loss_backward(cache)[0])
+        _assert_same_bits(box_grads[k], loss_backward(cache)[1])
+        part = slice(end, end + cache.rows.size)
+        end += cache.rows.size
+        _assert_same_bits(numer[part], cache.numer)
+        _assert_same_bits(denom[part], cache.denom)
+    assert end == numer.size == denom.size
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["blocked", "unblocked"])
+def test_sorted_cache_holds_no_pairwise_array(block, monkeypatch):
     batch = _wide_batch(5, 64, "detector")
     n, p = batch.scores.size, batch.n_positive
     assert n == 1024 and 0 < p < n
+    calls = _spy(monkeypatch, "_sorted_rows")
     _, cache = loss_forward(batch, _sampled_params(7, block_denominator=block))
     arrays = {f.name: getattr(cache, f.name) for f in fields(cache)}
     arrays = {k: v for k, v in arrays.items() if isinstance(v, np.ndarray)}
     assert all(v.size < p * n for v in arrays.values())
-    assert arrays["f2_row_slope"].shape == (p,)
-    assert ("f4_row_slope" in arrays) == (not block)
+    # the sorted path ran with the blocking flag, and what it returned is
+    # one vector per ranked row or per prediction
+    ((*_, got_block), (numer, denom, score_grads, cross)), = calls
+    assert got_block == block
+    assert numer.shape == denom.shape == cross.shape == (p,) and score_grads.shape == (n,)
 
 
-def test_one_prediction_below_n_sorted_keeps_the_dense_path():
+def test_one_prediction_below_n_sorted_keeps_the_dense_path(monkeypatch):
     params = _sampled_params(17, block_denominator=False)
     dense = _wide_batch(2, 16, "ties", size=N_SORTED - 1)
+    calls = _spy(monkeypatch, "_sorted_rows")
     value, cache = loss_forward(dense, params)
-    assert cache.f2d.shape == (dense.n_positive, N_SORTED - 1)
+    assert not calls
     got = (value, *loss_backward(cache))
     expected = _reference_loss(dense, params)
     assert got[0] == expected[0]
     for actual, want in zip(got[1:], expected[1:]):
         _assert_same_bits(actual, want)
     # one more prediction, or a shape function that is not piecewise, switch
-    _, cache = loss_forward(_wide_batch(2, 16, "ties", size=N_SORTED), params)
-    assert cache.f2d is None
+    loss_forward(_wide_batch(2, 16, "ties", size=N_SORTED), params)
+    assert len(calls) == 1
     functions = tuple(resolve_functions(params))
     functions = functions[:3] + (handcrafted_substitution("linear"),) + functions[4:]
-    _, cache = loss_forward(_wide_batch(2, 16, "ties"), params, functions)
-    assert cache.f2d is not None
+    loss_forward(_wide_batch(2, 16, "ties"), params, functions)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("offset", [1e3, 1e6])
@@ -815,20 +874,22 @@ def test_piece_sums_within_stated_bound_of_shifted_scores(offset):
 
 
 @pytest.mark.parametrize("offset", [1e3, 1e6, 2.0**52])
-def test_shifted_scores_beyond_2_10_take_the_dense_path(offset):
+def test_shifted_scores_beyond_2_10_take_the_dense_path(offset, monkeypatch):
     # max|s| <= 2^10 keeps the sorted path within its rounding bound of the
     # pairwise loss; beyond it the dense path is exact to the reference
     params = _sampled_params(19, block_denominator=False)
     base = _wide_batch(4, 16, "detector")
     batch = DetectionBatch(base.boxes, base.scores + offset, base.gt_boxes, base.assignment)
     assert batch.scores.size >= N_SORTED
+    calls = _spy(monkeypatch, "_sorted_rows")
     value, cache = loss_forward(batch, params)
-    assert (cache.f2d is None) == (offset < 2.0**10)
+    assert bool(calls) == (offset < 2.0**10)
     got = (value, *loss_backward(cache))
     expected = _reference_loss(batch, params)
-    if cache.f2d is None:
+    if calls:
         tol = 1e-13 * offset
-        assert abs(got[0] - expected[0]) <= tol * max(abs(expected[0]), _value_scale(cache))
+        scale = _value_scale(batch, params, None, cache)
+        assert abs(got[0] - expected[0]) <= tol * max(abs(expected[0]), scale)
         for actual, want in zip(got[1:], expected[1:]):
             assert np.max(np.abs(actual - want)) <= tol * np.max(np.abs(want))
     else:

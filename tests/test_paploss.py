@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import expit as scipy_expit
 
+from paramloss import paploss
 from paramloss.apmetric import DetectionBatch, ap_reformulated, loc_scores
 from paramloss.errors import (
     ConstraintViolationError,
@@ -200,18 +201,30 @@ class TestLossParams:
         with pytest.raises(ConstraintViolationError, match="collapse"):
             replace(good, theta5=top)
 
-    def test_functions_and_lam_are_built_once(self):
+    def test_functions_and_lam_are_built_once(self, monkeypatch):
         rng = np.random.default_rng(317)
         p = random_loss_params(rng)
         for fn, theta in zip(p.functions, p.thetas):
             assert np.array_equal(fn.control_points, build(theta, p.M).control_points)
         assert p.lam == lambda_from_theta(p.theta_lambda)
-        # the loss reads them from the parameters, not from a rebuild
+        # the loss reads them from the parameters, not from a rebuild: no
+        # build runs, and the pair sums get the parameters' own f2 and f4
         batch = DetectionBatch(np.array([[0.1, 0.1, 0.5, 0.5], [0.2, 0.2, 0.6, 0.6]]),
                                np.array([0.7, 0.4]), np.array([[0.1, 0.1, 0.5, 0.5]]),
                                np.array([0, -1]))
-        _, cache = loss_forward(batch, p)
-        assert cache.functions is p.functions
+        seen = []
+        original = paploss._dense_rows
+
+        def spy(s, rows, f2, f4, *rest):
+            seen.append((f2, f4))
+            return original(s, rows, f2, f4, *rest)
+
+        monkeypatch.setattr(paploss, "_dense_rows", spy)
+        monkeypatch.setattr(paploss, "build", None)
+        loss_forward(batch, p)
+        (f2, f4), = seen
+        assert f2 is p.functions[1] and f4 is p.functions[3]
+        monkeypatch.undo()
         q = replace(p, theta_lambda=0.75)
         assert q.lam == lambda_from_theta(0.75) and q.functions is not p.functions
 
@@ -541,25 +554,36 @@ class TestBackward:
         batch = random_batch(rng)
         while batch.n_positive == 0 or len(batch.scores) < 8:
             batch = random_batch(rng)
-        _, cache = loss_forward(batch, random_loss_params(rng, block=block))
+        params = random_loss_params(rng, block=block)
+        _, cache = loss_forward(batch, params)
         # some clipped and some unclipped pairs, with positives among the j;
         # row k of the (P, N) slope ranks the positive rows[k] against all j
-        assert np.any(cache.f2_slope[:, batch.positive_mask] > 0.0)
-        other = np.ones(cache.f2_slope.shape, dtype=bool)
-        other[np.arange(batch.n_positive), np.flatnonzero(batch.positive_mask)] = False
-        assert not np.all(cache.f2_slope[other] > 0.0)
+        s, rows = batch.scores, cache.rows
+        raw = s[None, :] - s[rows, None]
+        other = np.ones(raw.shape, dtype=bool)
+        other[np.arange(rows.size), rows] = False
+        d = (np.clip(raw, -1.0, 1.0) + 1.0) / 2.0
+        _, f2_slope = params.functions[1].eval_with_slope(d, (np.abs(raw) < 1.0) & other)
+        assert np.any(f2_slope[:, batch.positive_mask] > 0.0)
+        assert not np.all(f2_slope[other] > 0.0)
 
         def arrays():
             named = [(f.name, getattr(cache, f.name)) for f in fields(cache)]
-            # the caller's batch too, whose scores the cache holds
+            # the caller's batch too
             named += [(f"batch.{k}", v) for k, v in vars(batch).items()]
             return {k: v.copy() for k, v in named if isinstance(v, np.ndarray)}
 
         before = arrays()
         first = loss_backward(cache)
         second = loss_backward(cache)
+        # new arrays on every call, so a caller that writes to one changes
+        # neither the cache nor the other call's result
+        grads = [*first, *second, cache.score_grads, cache.box_grads]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[:i])
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+        first[0][:] = np.nan
+        first[1][:] = np.nan
         after = arrays()
         assert after.keys() == before.keys()
         for name in before:

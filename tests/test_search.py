@@ -419,19 +419,12 @@ class TestRunSearch:
         assert np.array_equal(best_serial.to_flat(), best_par.to_flat())
         assert _strip_wall(hist_serial) == _strip_wall(hist_par)
 
-    @pytest.mark.parametrize("S, jobs, pools", [
-        (4, 64, [4]),  # one worker per sample, not 64
-        (4, 3, [2]),   # chunks of 2: two chunks, not three workers
-        (3, 2, [2]),
-        (1, 4, []),    # one chunk trains in-process
-        (4, 1, []),
-    ])
-    def test_pool_has_one_worker_per_chunk(self, data, monkeypatch, S, jobs, pools):
-        sizes = []
+    @staticmethod
+    def _in_process_pool(sizes, configs):
+        """A ProcessPoolExecutor stand-in that records its size and the
+        configs its tasks get, and runs the tasks in-process, in order."""
 
-        class RecordingPool:
-            """Records its size and runs the tasks in-process, in order."""
-
+        class InProcessPool:
             def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
                 initializer(*initargs)
@@ -442,16 +435,45 @@ class TestRunSearch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, task_configs, *iterables):
+                configs.extend(task_configs)
+                return map(fn, task_configs, *iterables)
 
-        monkeypatch.setattr(paramloss.search, "ProcessPoolExecutor", RecordingPool)
+        return InProcessPool
+
+    @pytest.mark.parametrize("S, jobs, pools", [
+        (4, 64, [4]),  # one worker per sample, not 64
+        (4, 3, [2]),   # chunks of 2: two chunks, not three workers
+        (3, 2, [2]),
+        (1, 4, []),    # one chunk trains in-process
+        (4, 1, []),
+    ])
+    def test_pool_has_one_worker_per_chunk(self, data, monkeypatch, S, jobs, pools):
+        sizes = []
+        monkeypatch.setattr(paramloss.search, "ProcessPoolExecutor",
+                            self._in_process_pool(sizes, []))
         monkeypatch.setattr(paramloss.search, "_worker_dataset", None)
         config = tiny_config(T=2, S=S, steps=2)
         best, history = run_search(config, dataset=data, jobs=jobs)
         assert sizes == pools
         serial_best, serial = run_search(config, dataset=data)
         assert np.array_equal(best.to_flat(), serial_best.to_flat())
+        assert _strip_wall(history) == _strip_wall(serial)
+
+    def test_pool_tasks_carry_no_dataset_path(self, data, monkeypatch):
+        # a worker reads the scenes its initializer gave it, so its tasks
+        # leave out the path they came from, which would tie the task size
+        # to where the file lies
+        configs = []
+        monkeypatch.setattr(paramloss.search, "ProcessPoolExecutor",
+                            self._in_process_pool([], configs))
+        monkeypatch.setattr(paramloss.search, "_worker_dataset", None)
+        config = tiny_config(T=2, S=3, steps=2, dataset="/a/long/path/to/dataset.json")
+        _, history = random_search(config, dataset=data, jobs=2)
+        assert len(configs) == 4
+        want = {**config.to_json_dict(), "dataset": None}
+        assert all(c.to_json_dict() == want for c in configs)
+        _, serial = random_search(config, dataset=data)
         assert _strip_wall(history) == _strip_wall(serial)
 
     def test_pool_tasks_carry_no_scenes(self):
