@@ -11,13 +11,16 @@ Subcommands:
 keys rejected) and a `--seed` override, are deterministic under a fixed
 seed, and write a resolved-config snapshot next to their outputs so runs can
 be reproduced byte-for-byte. `export-functions` and `compare` read only the
-files they are given. Every command writes to `--out`.
+files they are given. Every command writes to `--out`, and a failed write
+leaves the file it was writing as it was.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,23 +70,36 @@ def _load_params(path):
         raise ConfigError(f"{path} is not a loss parameter file: {exc!r}") from exc
 
 
+@contextmanager
+def _replacing(path, newline=None):
+    """A text file open for writing that replaces `path` when the block
+    ends; on an error it is removed and `path` keeps what it held."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path, obj):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_history(path, history):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         for record in history:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _write_curve(path, curve):
-    with open(path, "w", newline="") as fh:
+def _write_csv(path, header, rows):
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "best_reward"])
-        writer.writerows(curve)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _out_dir(args):
@@ -124,25 +140,20 @@ def cmd_generate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.budget is not None and args.strategy != "random":
-        raise ConfigError("--budget applies only to --strategy random")
     config = _resolve_config(SearchConfig, args, PRESETS.get(args.preset), seed=args.seed)
     dataset_config, train_set, eval_set = _dataset_for(config)
-    if args.strategy == "ppo2":
-        best, history = run_search(config, dataset=(train_set, eval_set), jobs=args.jobs)
-    else:
-        best, history = random_search(config, dataset=(train_set, eval_set),
-                                      jobs=args.jobs, budget=args.budget)
+    strategy = run_search if args.strategy == "ppo2" else random_search
+    best, history = strategy(config, dataset=(train_set, eval_set), jobs=args.jobs)
     out = _out_dir(args)
     _write_json(out / "resolved_config.json",
                 {"search": config.to_json_dict(), "strategy": args.strategy,
-                 "budget": args.budget, "dataset_config": dataset_config.to_json_dict()})
+                 "dataset_config": dataset_config.to_json_dict()})
     _write_history(out / "history.jsonl", history)
-    _write_curve(out / "curve.csv", best_so_far_curve(history))
-    rewards = [r["reward"] for r in history if "reward" in r]
-    if not rewards or max(rewards) <= 0.0:
+    _write_csv(out / "curve.csv", ["round", "best_reward"], best_so_far_curve(history))
+    if best is None:
         print("search produced no trainable loss", file=sys.stderr)
         return EXIT_RUNTIME
+    rewards = [r["reward"] for r in history if "reward" in r]
     _write_json(out / "best_params.json", best.to_json_dict())
     print(f"best reward {max(rewards):.4f} over {len(rewards)} samples; "
           f"artifacts in {out}")
@@ -176,7 +187,7 @@ def _train_eval_params(args, config: SearchConfig):
 
 
 def cmd_train_eval(args) -> int:
-    config = _resolve_config(SearchConfig, args, seed=args.seed, steps=args.steps)
+    config = _resolve_config(SearchConfig, args, seed=args.seed)
     params, functions, source = _train_eval_params(args, config)
     dataset_config, train_set, eval_set = _dataset_for(config)
 
@@ -217,11 +228,8 @@ def cmd_export_functions(args) -> int:
     grid = np.linspace(0.0, 1.0, 201)
     control = {}
     for k, fn in enumerate(params.functions, start=1):
-        with open(out / f"f{k}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "f"])
-            for x, y in zip(grid, fn.eval(grid)):
-                writer.writerow([repr(float(x)), repr(float(y))])
+        _write_csv(out / f"f{k}.csv", ["x", "f"],
+                   [[repr(float(x)), repr(float(y))] for x, y in zip(grid, fn.eval(grid))])
         control[f"f{k}"] = fn.to_points()
     control["lambda"] = params.lam
     _write_json(out / "control_points.json", control)
@@ -256,14 +264,12 @@ def cmd_compare(args) -> int:
     curve_b = _history_curve(args.history_b)
     rounds = sorted(set(curve_a) | set(curve_b))
     out = _out_dir(args)
-    last_a, last_b = "", ""
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "best_a", "best_b"])
-        for r in rounds:
-            last_a = curve_a.get(r, last_a)
-            last_b = curve_b.get(r, last_b)
-            writer.writerow([r, last_a, last_b])
+    rows, last_a, last_b = [], "", ""
+    for r in rounds:
+        last_a = curve_a.get(r, last_a)
+        last_b = curve_b.get(r, last_b)
+        rows.append([r, last_a, last_b])
+    _write_csv(out / "comparison.csv", ["round", "best_a", "best_b"], rows)
     print(f"wrote {out / 'comparison.csv'} over {len(rounds)} rounds")
     return EXIT_OK
 
@@ -287,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p.add_argument("--strategy", choices=("ppo2", "random"), default="ppo2")
-    p.add_argument("--budget", type=int, default=None,
-                   help="sample budget for --strategy random (default T*S)")
     p.add_argument("--jobs", type=int, default=1,
                    help="concurrent inner trainings")
     p.set_defaults(fn=cmd_search)
@@ -299,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="loss parameter JSON file (omit with --substitution)")
     p.add_argument("--substitution", choices=sorted(HANDCRAFTED_KINDS), default=None,
                    help="use a handcrafted substitution instead of a params file")
-    p.add_argument("--steps", type=int, default=None, help="inner training steps")
     p.add_argument("--no-block-denominator", action="store_true",
                    help="let gradients flow through the denominator terms")
     p.add_argument("--shared-params", action="store_true",

@@ -32,6 +32,10 @@ from .optim import Adam
 from .paploss import LossParams
 
 PROJECTION_MARGIN = 1e-4
+PPO2_EPSILON = 0.1
+PPO2_ITERATIONS = 100
+PPO2_LR = 0.01
+PPO2_WARMUP = 30
 _EPS = np.finfo(float).eps
 
 # bundled settings: "desk" fits a full comparison suite in minutes on a
@@ -193,15 +197,13 @@ def _ppo2_grad(thetas: np.ndarray, advantages: np.ndarray, mu: np.ndarray,
     return grads.mean(axis=0) / thetas.shape[1]
 
 
-def ppo2_update(samples, rewards, mu_t: np.ndarray, sigma: float, epsilon: float = 0.1,
-                *, iterations: int = 100, base_lr: float = 0.01,
-                warmup: int = 30) -> np.ndarray:
+def ppo2_update(samples, rewards, mu_t: np.ndarray, sigma: float) -> np.ndarray:
     """Ascend the clipped surrogate from mu_t; returns the projected mean.
 
-    Adam with a step size ramping linearly from 0 over the first `warmup`
-    iterations. All-equal rewards mean zero advantage everywhere, in which
-    case mu_t is returned unchanged. The defaults are the settings
-    run_search uses.
+    PPO2_ITERATIONS Adam steps at clip range PPO2_EPSILON, with a step size
+    ramping linearly to PPO2_LR over the first PPO2_WARMUP iterations.
+    All-equal rewards mean zero advantage everywhere, in which case mu_t is
+    returned unchanged.
     """
     thetas = np.asarray(samples, dtype=float)
     rewards = np.asarray(rewards, dtype=float)
@@ -218,10 +220,10 @@ def ppo2_update(samples, rewards, mu_t: np.ndarray, sigma: float, epsilon: float
     mu = np.asarray(mu_t, dtype=float).copy()
     # the sampling density's term of every ratio, the same on every iteration
     logpdf_t = truncnorm_logpdf(thetas, mu_t, sigma)
-    opt = Adam(mu.size, lr=base_lr)
-    for k in range(iterations):
-        grad = _ppo2_grad(thetas, advantages, mu, logpdf_t, sigma, epsilon)
-        rate = base_lr * min(1.0, (k + 1) / warmup)
+    opt = Adam(mu.size)
+    for k in range(PPO2_ITERATIONS):
+        grad = _ppo2_grad(thetas, advantages, mu, logpdf_t, sigma, PPO2_EPSILON)
+        rate = PPO2_LR * min(1.0, (k + 1) / PPO2_WARMUP)
         mu = opt.step(mu, -grad, lr=rate)  # ascent
     return np.clip(mu, PROJECTION_MARGIN, 1.0 - PROJECTION_MARGIN)
 
@@ -279,13 +281,11 @@ def _evaluate_in_worker(config: SearchConfig, thetas, seeds) -> list[tuple[float
     return _evaluate_chunk(_worker_dataset, config, thetas, seeds)
 
 
-def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propose,
-                   update=None):
-    """The outer loop both strategies share: rounds of S sample evaluations.
+def _search_rounds(config: SearchConfig, dataset, jobs: int, propose, update=None):
+    """The outer loop both strategies share: T rounds of S sample evaluations.
 
     Round t draws sample i as propose(t, rng) with rng seeded from
-    (master seed, t, i); a last round short of S samples happens only when
-    `budget` is not a multiple of S. A round trains as lockstep chunks of
+    (master seed, t, i). A round trains as lockstep chunks of
     ceil(S / jobs) samples, each in its own pool worker, so the pool has as
     many workers as a round has chunks; one chunk trains in-process. After
     each round, update(t, thetas, rewards), when given, returns the round
@@ -294,10 +294,6 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
     """
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
-    if budget < 0:
-        raise ConfigError("budget must be non-negative")
-    if budget == 0:
-        return None, []
     history = []
     chunk = -(-config.S // jobs)
     # one worker per chunk: the executor forks them all at the first submit
@@ -307,10 +303,10 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, budget: int, propos
     # a worker reads its scenes from _init_worker, never the dataset path
     task_config = replace(config, dataset=None)
     with pool:
-        for t, done in enumerate(range(0, budget, config.S), start=1):
+        for t in range(1, config.T + 1):
             thetas = [propose(t, np.random.default_rng([config.seed, t, i]))
-                      for i in range(min(config.S, budget - done))]
-            seeds = [_train_seed(config.seed, t, i) for i in range(len(thetas))]
+                      for i in range(config.S)]
+            seeds = [_train_seed(config.seed, t, i) for i in range(config.S)]
             if workers > 1:
                 starts = range(0, len(thetas), chunk)
                 # map() yields results in submission order, keeping parallel
@@ -356,20 +352,19 @@ def run_search(config: SearchConfig, dataset, jobs: int = 1):
             mu = ppo2_update(thetas, rewards, mu, sigma(t))
         return {"round": t, "mu": mu.tolist(), "sigma": sigma(t)}
 
-    return _search_rounds(config, dataset, jobs, config.T * config.S,
+    return _search_rounds(config, dataset, jobs,
                           lambda t, rng: sample_truncnorm(mu, sigma(t), rng), update)
 
 
-def random_search(config: SearchConfig, dataset, jobs: int = 1, budget=None):
+def random_search(config: SearchConfig, dataset, jobs: int = 1):
     """Same-budget baseline: uniform samples over (0,1)^D, no mean update.
 
     `dataset` is the in-memory (train scenes, eval scenes) pair. Returns
-    (best LossParams or None, history); the history has exactly
-    `budget` sample records (default T*S) grouped into rounds of S.
+    (best LossParams or None, history); the history has exactly T*S sample
+    records in T rounds of S.
     """
     dim = LossParams.identity(M=config.M).to_flat().size
     return _search_rounds(config, dataset, jobs,
-                          config.T * config.S if budget is None else budget,
                           lambda t, rng: np.clip(rng.uniform(size=dim), _EPS, 1.0 - _EPS))
 
 

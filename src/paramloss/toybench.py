@@ -19,7 +19,6 @@ ranking signal), and standard-normal distractor dimensions up to F.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +56,7 @@ ASSIGN_THRESHOLD = 0.5
 MIN_BOX_SIZE = 0.02
 DELTA_CAP = 4.0  # box-size deltas are clipped to keep exp() tame
 HIDDEN = 16  # hidden units of the detector that train_inner trains
+LR = 0.02  # train_inner's Adam step size at step 0, decaying linearly to 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,17 +462,17 @@ def model_forward(model: ToyModel, scene: Scene) -> DetectionBatch:
 
 
 def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
-                batch_scenes: int = 8, lr: float = 0.02, functions=None) -> ToyModel:
+                batch_scenes: int = 8, functions=None) -> ToyModel:
     """Seeded inner training of the detector under the given loss parameters.
 
     Starts from ToyModel.init with HIDDEN hidden units and runs `steps` Adam
-    updates over shuffled mini-batches of scenes; all predictions of a
-    mini-batch form one joint ranking. A mini-batch without positives is
+    updates, at a step size decaying linearly from LR, over shuffled
+    mini-batches of scenes; all predictions of a mini-batch form one joint
+    ranking. A mini-batch without positives is
     skipped (the step is consumed without an update). Raises
     TrainingDivergedError on the first non-finite loss, gradient or weight,
     and InvalidInputError for steps, batch_scenes or a seed that is not an
-    integer in range, an lr that is not finite and positive, or train
-    scenes of different anchor counts.
+    integer in range, or train scenes of different anchor counts.
     `functions` overrides the piecewise substitutions with explicit callables
     (used by the handcrafted-substitution comparisons); by default they are
     params.functions, built when params was made, so parameters whose knots
@@ -480,20 +480,20 @@ def train_inner(params: LossParams, train_set, steps: int, seed: int, *,
     This is the one-sample call of _train_lockstep.
     """
     outcome, = _train_lockstep([params], train_set, steps, [seed], batch_scenes=batch_scenes,
-                               lr=lr, functions=functions)
+                               functions=functions)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
 def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int = 8,
-                    lr: float = 0.02, functions=None) -> list:
+                    functions=None) -> list:
     """train_inner of several samples at once, as one stacked computation
     per step.
 
     Sample k trains under params[k] (all of one measurement) from seed
     seeds[k], with its own shuffle; the samples share the train set,
-    steps, batch_scenes, lr and the `functions` override. Returns one
+    steps, batch_scenes and the `functions` override. Returns one
     outcome per sample, in order: its trained ToyModel, or the
     TrainingDivergedError that train_inner raises for it alone. Each
     outcome equals that train_inner call's bit for bit: the detector's
@@ -522,9 +522,6 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
             raise InvalidInputError(f"{name} must be at least {least}, got {value}")
     if not train_set:
         raise InvalidInputError("training needs at least one scene")
-    check_value_type("lr", float, lr, InvalidInputError)
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise InvalidInputError(f"lr must be finite and positive, got {lr}")
     if functions is not None and len(functions) != 5:
         raise InvalidInputError("functions override must supply exactly 5 functions")
     if len({p.measurement for p in params}) > 1:
@@ -543,7 +540,7 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
     # row k of the buffer is sample k; every step updates it in place, so
     # the weights are checked once here and then per step below
     weights = np.stack([m.to_vector() for m in outcomes])
-    opt = Adam(weights.shape[1], lr=lr, rows=len(params))
+    opt = Adam(weights.shape[1], rows=len(params))
     model = _WeightStack(weights, n_features)
     shapes = paploss._ShapeRows(fns)
     done = np.zeros(len(params), dtype=bool)
@@ -575,7 +572,7 @@ def _train_lockstep(params, train_set, steps: int, seeds, *, batch_scenes: int =
         if update.size:
             # linear step-size decay: collapses the seed-to-seed spread of
             # the final weights by an order of magnitude versus a constant rate
-            opt.step_rows(weights, grad, update, lr=lr * (1.0 - step / steps))
+            opt.step_rows(weights, grad, update, lr=LR * (1.0 - step / steps))
             # the rows left out kept their finite weights
             failed |= ~np.isfinite(weights).all(axis=1)
         if failed.any():

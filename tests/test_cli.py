@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import paramloss.cli
+import paramloss.search
 import paramloss.toybench
 from paramloss.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from paramloss.errors import TrainingDivergedError
+from paramloss.errors import ConstraintViolationError, TrainingDivergedError
 from paramloss.paploss import LossParams, lambda_from_theta
 from paramloss.piecewise import PiecewiseFn, build
 
@@ -104,12 +105,13 @@ class TestSearchCommand:
         assert (out_a / "curve.csv").read_text() == (out_b / "curve.csv").read_text()
 
     def test_random_strategy_budget(self, tmp_path, dataset_dir):
-        config = _search_config_file(tmp_path, dataset_dir)
+        # the baseline spends the PPO2 search's budget of T x S samples
+        config = _search_config_file(tmp_path, dataset_dir, T=3)
         out = tmp_path / "rand"
         assert main(["search", "--config", str(config), "--strategy", "random",
-                     "--budget", "5", "--out", str(out)]) == EXIT_OK
+                     "--out", str(out)]) == EXIT_OK
         samples = [r for r in _read_history(out / "history.jsonl") if "reward" in r]
-        assert len(samples) == 5
+        assert len(samples) == 3 * TINY_SEARCH["S"]
 
     def test_preset_is_applied(self, tmp_path, dataset_dir):
         # config file overrides the preset bundle where both specify a key
@@ -132,6 +134,31 @@ class TestSearchCommand:
         assert not (out / "best_params.json").exists()
         history = _read_history(out / "history.jsonl")
         assert all(r["diverged"] for r in history if "reward" in r)
+
+    def test_all_unbuildable_exits_runtime(self, tmp_path, dataset_dir, monkeypatch):
+        def unbuildable(config, theta):
+            raise ConstraintViolationError("knots collapse")
+
+        monkeypatch.setattr(paramloss.search, "_loss_params", unbuildable)
+        config = _search_config_file(tmp_path, dataset_dir)
+        out = tmp_path / "unbuildable"
+        assert main(["search", "--config", str(config), "--out", str(out)]) == EXIT_RUNTIME
+        assert not (out / "best_params.json").exists()
+        history = _read_history(out / "history.jsonl")
+        assert all(r["diverged"] and r["reward"] == 0.0 for r in history if "reward" in r)
+
+    def test_trained_zero_reward_search_writes_its_best(self, tmp_path, dataset_dir,
+                                                        monkeypatch):
+        # every sample trains and scores 0: the search still has a best, the
+        # earliest sample, and the command reports it
+        monkeypatch.setattr(paramloss.toybench, "reward", lambda model, scenes: 0.0)
+        config = _search_config_file(tmp_path, dataset_dir)
+        out = tmp_path / "zero"
+        assert main(["search", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        samples = [r for r in _read_history(out / "history.jsonl") if "reward" in r]
+        assert all(r["reward"] == 0.0 and not r["diverged"] for r in samples)
+        best = LossParams.from_json_dict(json.loads((out / "best_params.json").read_text()))
+        assert np.array_equal(best.to_flat(), samples[0]["theta"])
 
     def test_unknown_config_key(self, tmp_path, dataset_dir):
         config = tmp_path / "bad.json"
@@ -170,10 +197,14 @@ class TestSearchCommand:
         assert not out.exists()
 
     def test_budget_with_ppo2_exits_config(self, tmp_path, dataset_dir):
+        # every search spends T x S samples: --budget is no option, and
+        # argparse exits with the config code
         config = _search_config_file(tmp_path, dataset_dir)
         out = tmp_path / "ppo2budget"
-        assert main(["search", "--config", str(config), "--strategy", "ppo2",
-                     "--budget", "3", "--out", str(out)]) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--config", str(config), "--strategy", "ppo2",
+                  "--budget", "3", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
         assert not out.exists()
 
 
@@ -274,13 +305,13 @@ class TestTrainEvalCommand:
         assert metrics["params"]["block_denominator"] is False
 
     def test_flags_override_file_before_validation(self, tmp_path, dataset_dir):
-        # the merged config is validated once, after --steps replaces the
+        # the merged config is validated once, after --seed replaces the
         # file's invalid value
-        config = _search_config_file(tmp_path, dataset_dir, steps=-1)
-        out = tmp_path / "steps"
-        assert main(["train-eval", "--substitution", "linear", "--steps", "2",
+        config = _search_config_file(tmp_path, dataset_dir, seed=-1)
+        out = tmp_path / "seed"
+        assert main(["train-eval", "--substitution", "linear", "--seed", "2",
                      "--config", str(config), "--out", str(out)]) == EXIT_OK
-        assert json.loads((out / "metrics.json").read_text())["steps"] == 2
+        assert json.loads((out / "metrics.json").read_text())["seed"] == 2
         assert main(["train-eval", "--substitution", "linear", "--config", str(config),
                      "--out", str(out)]) == EXIT_CONFIG
 
@@ -415,6 +446,47 @@ class TestCompare:
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def _fails_after_one(items):
+    """The first of `items`, then an OSError, as a write cut short."""
+    yield items[0]
+    raise OSError("interrupted")
+
+
+class TestArtifactWrites:
+    def test_failed_json_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "best_params.json"
+        paramloss.cli._write_json(path, {"old": 1})
+        old = path.read_text()
+
+        def partial_dump(obj, fh, **kwargs):
+            fh.write('{"new"')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", partial_dump)
+        with pytest.raises(OSError, match="disk full"):
+            paramloss.cli._write_json(path, {"new": 2})
+        assert path.read_text() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["best_params.json"]
+
+    @pytest.mark.parametrize("name, write, rows", [
+        ("history.jsonl", paramloss.cli._write_history, [{"round": 1}, {"round": 2}]),
+        ("curve.csv", lambda path, rows: paramloss.cli._write_csv(path, ["round"], rows),
+         [(1, 0.5), (2, 0.75)]),
+    ], ids=["history", "curve"])
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, name, write, rows):
+        path = tmp_path / name
+        write(path, rows[:1])
+        old = path.read_text()
+        with pytest.raises(OSError, match="interrupted"):
+            write(path, _fails_after_one(rows[1:]))
+        assert path.read_text() == old
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        # a write that completes replaces the file whole
+        write(path, rows)
+        assert path.read_text() != old
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 class TestInputErrors:
     """A malformed file exits with the config code; an error inside the
     program is not reported as one."""
@@ -522,7 +594,7 @@ class TestInputErrors:
                 assert f"{afile} is not a directory" in capsys.readouterr().err
         assert afile.read_text() == "kept"
 
-    @pytest.mark.parametrize("steps", ["0", "3"])
+    @pytest.mark.parametrize("steps", [0, 3])
     def test_unbuildable_params_exit_config(self, tmp_path, dataset_dir, capsys, steps):
         # ratios this close to 1 collapse the knots onto x = 1: the params
         # file gives no loss, whether or not training would take a step
@@ -530,9 +602,9 @@ class TestInputErrors:
         params_path = tmp_path / "p.json"
         params_path.write_text(json.dumps({**LossParams.identity().to_json_dict(),
                                            "theta2": top}))
-        config = _search_config_file(tmp_path, dataset_dir)
+        config = _search_config_file(tmp_path, dataset_dir, steps=steps)
         assert main(["train-eval", str(params_path), "--config", str(config),
-                     "--steps", steps, "--out", str(tmp_path / "te")]) == EXIT_CONFIG
+                     "--out", str(tmp_path / "te")]) == EXIT_CONFIG
         assert main(["export-functions", str(params_path),
                      "--out", str(tmp_path / "exp")]) == EXIT_CONFIG
         assert capsys.readouterr().err.count("collapse") == 2

@@ -324,7 +324,7 @@ def _reference_train(params, train_set, steps, seed, functions=None,
     model = ToyModel.init(train_set[0].features.shape[1], HIDDEN, seed)
     shuffle_rng = np.random.default_rng([seed, 733])
     order = []
-    opt = Adam(model.to_vector().size, lr=lr)
+    opt = Adam(model.to_vector().size)
     weights = model.to_vector()
     for step in range(steps):
         if len(order) < batch_scenes:

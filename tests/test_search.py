@@ -13,6 +13,10 @@ from paramloss.errors import ConfigError, InvalidInputError, TrainingDivergedErr
 from paramloss.optim import Adam
 from paramloss.paploss import LossParams
 from paramloss.search import (
+    PPO2_EPSILON,
+    PPO2_ITERATIONS,
+    PPO2_LR,
+    PPO2_WARMUP,
     PROJECTION_MARGIN,
     SearchConfig,
     _evaluate_chunk,
@@ -241,21 +245,24 @@ class TestPPO2Update:
     def test_equal_rewards_return_mu_unchanged(self):
         mu_t = np.array([0.3, 0.5, 0.7])
         thetas = np.random.default_rng(0).uniform(0.2, 0.8, (4, 3))
-        out = ppo2_update(thetas, np.full(4, 0.25), mu_t, 0.2, 0.1)
+        out = ppo2_update(thetas, np.full(4, 0.25), mu_t, 0.2)
         assert np.array_equal(out, mu_t)
 
     def test_needs_two_samples(self):
         with pytest.raises(InvalidInputError):
-            ppo2_update(np.array([[0.5]]), np.array([1.0]), np.array([0.5]), 0.2, 0.1)
+            ppo2_update(np.array([[0.5]]), np.array([1.0]), np.array([0.5]), 0.2)
 
-    def test_projection_margin(self):
-        # a strong advantage on a boundary-hugging sample drags mu outward;
-        # the projection must keep every component inside the open cube
+    def test_projection_margin(self, monkeypatch):
+        # a strong advantage on a boundary-hugging sample drags mu outward,
+        # harder under a longer, faster ascent than the search's; the
+        # projection must keep every component inside the open cube
+        monkeypatch.setattr(paramloss.search, "PPO2_ITERATIONS", 400)
+        monkeypatch.setattr(paramloss.search, "PPO2_LR", 0.05)
+        monkeypatch.setattr(paramloss.search, "PPO2_WARMUP", 1)
         mu_t = np.array([0.995, 0.005])
         thetas = np.array([[0.9999, 0.0001], [0.5, 0.5]])
         rewards = np.array([1.0, 0.0])
-        out = ppo2_update(thetas, rewards, mu_t, 0.3, 0.1,
-                          iterations=400, base_lr=0.05, warmup=1)
+        out = ppo2_update(thetas, rewards, mu_t, 0.3)
         assert np.all(out >= PROJECTION_MARGIN)
         assert np.all(out <= 1.0 - PROJECTION_MARGIN)
 
@@ -265,7 +272,7 @@ class TestPPO2Update:
         thetas = np.stack([np.full(4, 0.62), np.full(4, 0.38),
                            rng.uniform(0.45, 0.55, 4), rng.uniform(0.45, 0.55, 4)])
         rewards = np.array([1.0, 0.0, 0.4, 0.4])
-        out = ppo2_update(thetas, rewards, mu_t, 0.2, 0.1)
+        out = ppo2_update(thetas, rewards, mu_t, 0.2)
         assert np.all(out > mu_t)
 
     def test_deterministic(self):
@@ -273,25 +280,24 @@ class TestPPO2Update:
         thetas = rng.uniform(0.2, 0.8, (5, 6))
         rewards = rng.uniform(0, 1, 5)
         mu_t = np.full(6, 0.5)
-        a = ppo2_update(thetas, rewards, mu_t, 0.15, 0.1)
-        b = ppo2_update(thetas, rewards, mu_t, 0.15, 0.1)
+        a = ppo2_update(thetas, rewards, mu_t, 0.15)
+        b = ppo2_update(thetas, rewards, mu_t, 0.15)
         assert np.array_equal(a, b)
 
     @staticmethod
-    def _reference_update(thetas, rewards, mu_t, sigma, epsilon=0.1, iterations=100,
-                          base_lr=0.01, warmup=30):
+    def _reference_update(thetas, rewards, mu_t, sigma):
         """ppo2_update with both log-densities and the truncation normalizer
         computed afresh on every iteration; also returns how many ratios sat
         on the clipped and on the unclipped branch."""
         advantages = rewards - rewards.mean()
         adv = advantages[:, None]
         mu = mu_t.copy()
-        opt = Adam(mu.size, lr=base_lr)
+        opt = Adam(mu.size)
         branches = [0, 0]
-        for k in range(iterations):
+        for k in range(PPO2_ITERATIONS):
             rho = np.exp(truncnorm_logpdf(thetas, mu, sigma)
                          - truncnorm_logpdf(thetas, mu_t, sigma))
-            active = rho * adv <= np.clip(rho, 1.0 - epsilon, 1.0 + epsilon) * adv
+            active = rho * adv <= np.clip(rho, 1.0 - PPO2_EPSILON, 1.0 + PPO2_EPSILON) * adv
             branches[0] += int(np.count_nonzero(~active))
             branches[1] += int(np.count_nonzero(active))
             lo, hi = -mu / sigma, (1.0 - mu) / sigma
@@ -299,7 +305,7 @@ class TestPPO2Update:
             trunc_mean = mu + sigma * (phi(lo) - phi(hi)) / (_ndtr(hi) - _ndtr(lo))
             d_rho = rho * ((thetas - trunc_mean) / sigma**2)
             grad = np.where(active, adv * d_rho, 0.0).mean(axis=0) / thetas.shape[1]
-            mu = opt.step(mu, -grad, lr=base_lr * min(1.0, (k + 1) / warmup))
+            mu = opt.step(mu, -grad, lr=PPO2_LR * min(1.0, (k + 1) / PPO2_WARMUP))
         return np.clip(mu, PROJECTION_MARGIN, 1.0 - PROJECTION_MARGIN), branches
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -501,24 +507,13 @@ class TestRunSearch:
 
 
 class TestRandomSearch:
-    def test_budget_zero(self, data):
-        best, history = random_search(tiny_config(), dataset=data, budget=0)
-        assert best is None and history == []
-
-    def test_budget_accounting(self, data):
-        _, history = random_search(tiny_config(T=4, S=3, steps=2), dataset=data, budget=7)
-        samples = [r for r in history if "reward" in r]
-        assert len(samples) == 7
-        assert len(history) == 7  # no round records without a distribution
-        # two full rounds of S=3, then a partial last round of the remainder
-        assert [(r["round"], r["sample_index"]) for r in samples] == [
-            (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0)]
-
     def test_deterministic(self, data):
         config = tiny_config(T=2, S=2, steps=2)
         _, a = random_search(config, dataset=data)
         _, b = random_search(config, dataset=data)
         assert _strip_wall(a) == _strip_wall(b)
+        # T rounds of S samples, and no round records without a distribution
+        assert [(r["round"], r["sample_index"]) for r in a] == [(1, 0), (1, 1), (2, 0), (2, 1)]
 
     def test_samples_cover_unit_cube(self, data):
         _, history = random_search(tiny_config(T=1, S=8, steps=0), dataset=data)
