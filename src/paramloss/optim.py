@@ -8,6 +8,8 @@ lockstep training, each with its own step count; a single vector is the
 one-row stack.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -44,6 +46,8 @@ class Adam:
         count, since numpy's power differs from ** in the last bit at some
         counts.
         """
+        if not (math.isfinite(lr) and lr > 0.0):
+            raise InvalidInputError("Adam needs a finite lr > 0")
         rows = np.asarray(rows, dtype=np.intp)
         counts = []
         for r in rows.tolist():

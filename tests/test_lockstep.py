@@ -269,6 +269,20 @@ def test_stacked_adam_equals_per_row_steps():
     assert stacked.t[0] == steps and len(set(stacked.t)) == rows
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
+def test_adam_rejects_a_non_finite_or_non_positive_lr(lr):
+    single, stacked = Adam(3), Adam(3, rows=2)
+    x = np.ones((2, 3))
+    with pytest.raises(InvalidInputError):
+        single.step(x[0], np.ones(3), lr=lr)
+    with pytest.raises(InvalidInputError):
+        stacked.step_rows(x, np.ones((2, 3)), [1], lr=lr)
+    # a rejected step leaves the moments, counts and stack as they were
+    for opt in (single, stacked):
+        assert not any(opt.t) and not opt.m.any() and not opt.v.any()
+    assert np.array_equal(x, np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_adam_rejects_a_dim_below_1(dim):
     with pytest.raises(InvalidInputError):
