@@ -92,9 +92,14 @@ def assign(candidate_boxes, ground_truths, iou_threshold: float = 0.5) -> np.nda
     gt = np.asarray(ground_truths, dtype=float).reshape(-1, 4)
     if gt.shape[0] == 0:
         return np.full(cand.shape[0], NEGATIVE, dtype=np.int64)
-    mat = pairwise_iou(cand, gt)
-    best = np.argmax(mat, axis=1)
-    best_iou = mat[np.arange(cand.shape[0]), best]
+    return assignment_from_iou(pairwise_iou(cand, gt), iou_threshold)
+
+
+def assignment_from_iou(iou: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """assign's rule on a precomputed (candidates, ground truths) IoU matrix
+    with at least one column, for a caller that already holds the matrix."""
+    best = np.argmax(iou, axis=1)
+    best_iou = iou[np.arange(iou.shape[0]), best]
     return np.where(best_iou >= iou_threshold, best, NEGATIVE).astype(np.int64)
 
 

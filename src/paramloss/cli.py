@@ -40,11 +40,11 @@ from .toybench import (
     DatasetConfig,
     _reward_from,
     _scene_threshold_ap,
-    dataset_to_json_dict,
     generate,
     load_dataset,
     read_json,
     train_inner,
+    write_dataset,
 )
 
 EXIT_OK = 0
@@ -133,7 +133,8 @@ def cmd_generate(args) -> int:
     config = _resolve_config(DatasetConfig, args, seed=args.seed)
     train_set, eval_set = generate(config)
     out = _out_dir(args)
-    _write_json(out / "dataset.json", dataset_to_json_dict(config, train_set, eval_set))
+    with _replacing(out / "dataset.json") as fh:
+        write_dataset(fh, config, train_set, eval_set)
     _write_json(out / "resolved_config.json", config.to_json_dict())
     print(f"wrote {len(train_set)} train / {len(eval_set)} eval scenes to {out / 'dataset.json'}")
     return EXIT_OK

@@ -14,7 +14,6 @@ produce identical histories.
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 
@@ -298,8 +297,13 @@ def _search_rounds(config: SearchConfig, dataset, jobs: int, propose, update=Non
     chunk = -(-config.S // jobs)
     # one worker per chunk: the executor forks them all at the first submit
     workers = -(-config.S // chunk)
-    pool = (ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(dataset,))
-            if workers > 1 else nullcontext())
+    pool = nullcontext()
+    if workers > 1:
+        # imported only here: multiprocessing would add to every start of
+        # the program, and a round of one chunk never uses it
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(dataset,))
     # a worker reads its scenes from _init_worker, never the dataset path
     task_config = replace(config, dataset=None)
     with pool:

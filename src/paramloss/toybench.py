@@ -31,7 +31,7 @@ from .apmetric import (
     _mean_in_order,
     _pr_area_stack,
     _ranked_iou,
-    assign,
+    assignment_from_iou,
 )
 
 # ap_pr_area stays importable from here, unused: the benchmark wraps this
@@ -129,15 +129,16 @@ class Scene:
         if gt.shape[0] < 1:
             raise InvalidInputError("scene needs at least one ground truth")
         a = anchors.shape[0]
+        if a < 1:
+            raise InvalidInputError("scene needs at least one anchor")
         if feats.ndim != 2 or feats.shape[0] != a or asg.shape[0] != a or src.shape[0] != a:
             raise InvalidInputError("anchors, features, assignment and source lengths differ")
         if not np.all(np.isfinite(feats)):
             raise InvalidInputError("features must be finite")
-        cover = pairwise_iou(anchors, gt).max(axis=0)
-        if np.any(cover < ASSIGN_THRESHOLD):
+        iou = pairwise_iou(anchors, gt)
+        if np.any(iou.max(axis=0) < ASSIGN_THRESHOLD):
             raise InvalidInputError("a ground truth has no candidate at the assignment threshold")
-        expected = assign(anchors, gt, ASSIGN_THRESHOLD)
-        if not np.array_equal(expected, asg):
+        if not np.array_equal(assignment_from_iou(iou, ASSIGN_THRESHOLD), asg):
             raise InvalidInputError("stored assignment disagrees with the assignment rule")
         object.__setattr__(self, "gt_boxes", gt)
         object.__setattr__(self, "anchors", anchors)
@@ -215,8 +216,8 @@ def _generate_scene(rng, config: DatasetConfig) -> Scene:
     distractors = rng.normal(0.0, 1.0, size=(config.anchors, config.features - 5))
     features = np.hstack([candidates, iou_feature[:, None], distractors])
 
-    return Scene(gts, candidates, features,
-                 assign(candidates, gts, ASSIGN_THRESHOLD), source)
+    # iou is of the final candidates: the loop breaks right after computing it
+    return Scene(gts, candidates, features, assignment_from_iou(iou, ASSIGN_THRESHOLD), source)
 
 
 def generate(config: DatasetConfig):
@@ -245,8 +246,23 @@ def dataset_from_json_dict(data: dict):
 
 
 def save_dataset(path, config: DatasetConfig, train, eval_scenes):
+    """Write the dataset file at path with write_dataset."""
     with open(path, "w") as fh:
-        json.dump(dataset_to_json_dict(config, train, eval_scenes), fh)
+        write_dataset(fh, config, train, eval_scenes)
+
+
+def write_dataset(fh, config: DatasetConfig, train, eval_scenes):
+    """Write json.dumps(dataset_to_json_dict(config, train, eval_scenes))
+    to the text file fh, one scene at a time: the bytes are the same, but
+    only one scene's text is held at once, and each piece goes through
+    json's C encoder, which json.dump does not use."""
+    fh.write(f'{{"config": {json.dumps(config.to_json_dict())}')
+    for key, scenes in (("train", train), ("eval", eval_scenes)):
+        fh.write(f', "{key}": [')
+        for k, scene in enumerate(scenes):
+            fh.write((", " if k else "") + json.dumps(scene.to_json_dict()))
+        fh.write("]")
+    fh.write("}")
 
 
 def read_json(path):

@@ -71,6 +71,34 @@ class TestGenerate:
         assert main(["generate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_dataset_file_is_the_save_dataset_file(self, tmp_path, dataset_dir):
+        config = paramloss.toybench.DatasetConfig.from_json_dict(TINY_DATASET)
+        path = tmp_path / "saved.json"
+        paramloss.toybench.save_dataset(path, config, *paramloss.toybench.generate(config))
+        assert (dataset_dir / "dataset.json").read_bytes() == path.read_bytes()
+
+    def test_failed_dataset_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(TINY_DATASET))
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+        old = (tmp_path / "dataset.json").read_bytes()
+        real_dumps, calls = json.dumps, []
+
+        def dumps_then_fail(obj, **kwargs):
+            # the config and two scenes are written, then the write fails
+            calls.append(obj)
+            if len(calls) > 3:
+                raise OSError("disk full")
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            main(["generate", "--config", str(config), "--seed", "99", "--out", str(tmp_path)])
+        assert len(calls) == 4
+        assert (tmp_path / "dataset.json").read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.json", "dataset.json", "resolved_config.json"]
+
 
 class TestSearchCommand:
     def test_artifacts_and_accounting(self, tmp_path, dataset_dir):
@@ -514,7 +542,9 @@ class TestInputErrors:
         lambda d: d["train"][0].__setitem__("features", [["a"] * 6] * 8),
         lambda d: d["train"][0].__setitem__("gt_boxes", [[0.1, 0.1, 0.5, 0.5], [0.2]]),
         lambda d: d.__setitem__("eval", 3),
-    ], ids=["no-train", "no-anchors", "non-numeric", "ragged", "not-a-list"])
+        lambda d: d["train"][0].update(anchors=[], features=[], assignment=[], source=[]),
+    ], ids=["no-train", "no-anchors", "non-numeric", "ragged", "not-a-list",
+            "zero-anchors"])
     def test_malformed_dataset_exits_config(self, tmp_path, dataset_dir, edit):
         config = self._broken_dataset(tmp_path, dataset_dir, edit)
         for command in (["search"], ["train-eval", "--substitution", "linear"]):
@@ -641,6 +671,18 @@ def test_cli_import_loads_no_scipy():
     package_root = str(Path(paramloss.cli.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {package_root!r}); import paramloss.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # a search imports the pool only for a round of more than one chunk, so a
+    # start of the program at --jobs 1 does not pay for multiprocessing
+    package_root = str(Path(paramloss.cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {package_root!r}); import paramloss.cli; "
+            "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process'"
+            " or m.split('.')[0] == 'multiprocessing'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

@@ -17,6 +17,7 @@ from paramloss.toybench import (
     _scene_threshold_ap,
     generate,
     reward,
+    save_dataset,
     train_inner,
 )
 
@@ -31,6 +32,15 @@ def test_train_eval_metrics_digest(tmp_path):
     assert main(["train-eval", "--substitution", "linear", "--seed", "1",
                  "--out", str(tmp_path)]) == EXIT_OK
     assert _digest((tmp_path / "metrics.json").read_bytes()) == "1617d04c96935f79"
+
+
+def test_dataset_file_digest(tmp_path):
+    # gates the generator and the dataset writer together: one changed
+    # scene value or one changed byte of the format fails here
+    config = DatasetConfig(seed=1)
+    path = tmp_path / "dataset.json"
+    save_dataset(path, config, *generate(config))
+    assert _digest(path.read_bytes()) == "82e209859ff3020f"
 
 
 def test_wide_training_digests():

@@ -1,5 +1,6 @@
 """Truncated-normal sampling, PPO2 surrogate, and the outer search loops."""
 
+import concurrent.futures
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -456,7 +457,9 @@ class TestRunSearch:
     ])
     def test_pool_has_one_worker_per_chunk(self, data, monkeypatch, S, jobs, pools):
         sizes = []
-        monkeypatch.setattr(paramloss.search, "ProcessPoolExecutor",
+        # search imports the pool class from concurrent.futures when it
+        # makes a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             self._in_process_pool(sizes, []))
         monkeypatch.setattr(paramloss.search, "_worker_dataset", None)
         config = tiny_config(T=2, S=S, steps=2)
@@ -471,7 +474,7 @@ class TestRunSearch:
         # leave out the path they came from, which would tie the task size
         # to where the file lies
         configs = []
-        monkeypatch.setattr(paramloss.search, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             self._in_process_pool([], configs))
         monkeypatch.setattr(paramloss.search, "_worker_dataset", None)
         config = tiny_config(T=2, S=3, steps=2, dataset="/a/long/path/to/dataset.json")

@@ -180,6 +180,11 @@ class TestSceneValidation:
         with pytest.raises(InvalidInputError):
             Scene(s.gt_boxes, s.anchors, s.features, bad, s.source)
 
+    def test_zero_anchors_rejected(self):
+        s = self._valid_scene()
+        with pytest.raises(InvalidInputError, match="at least one anchor"):
+            Scene(s.gt_boxes, np.zeros((0, 4)), np.zeros((0, 6)), [], [])
+
     def test_length_mismatch_rejected(self):
         s = self._valid_scene()
         with pytest.raises(InvalidInputError):
@@ -207,6 +212,23 @@ class TestDatasetIO:
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.anchors, b.anchors)
             assert np.array_equal(a.gt_boxes, b.gt_boxes)
+            assert np.array_equal(a.assignment, b.assignment)
+            assert np.array_equal(a.source, b.source)
+
+    @pytest.mark.parametrize("sets", [
+        lambda: generate(SMALL),
+        # eval scenes of 10 and of 16 anchors
+        lambda: (generate(SMALL)[0], generate(SMALL)[1] + generate(DatasetConfig(scenes=10))[1]),
+        lambda: ((), ()),
+    ], ids=["generated", "mixed-anchor-counts", "empty"])
+    def test_file_is_json_dumps_of_the_dict(self, tmp_path, sets):
+        # save_dataset streams one scene at a time; the bytes are those of
+        # the whole dict encoded at once
+        train, eval_scenes = sets()
+        path = tmp_path / "data.json"
+        save_dataset(path, SMALL, train, eval_scenes)
+        want = json.dumps(dataset_to_json_dict(SMALL, train, eval_scenes))
+        assert path.read_bytes() == want.encode()
 
     def test_mixed_feature_widths_rejected(self, tmp_path):
         # scenes of F = 8 and of F = 9 in one file
