@@ -19,6 +19,7 @@ ranking signal), and standard-normal distractor dimensions up to F.
 """
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,9 @@ MIN_BOX_SIZE = 0.02
 DELTA_CAP = 4.0  # box-size deltas are clipped to keep exp() tame
 HIDDEN = 16  # hidden units of the detector that train_inner trains
 LR = 0.02  # train_inner's Adam step size at step 0, decaying linearly to 0
+READ_CHARS = 1 << 16  # load_dataset reads the file this many characters at a time
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace
+_NUMBER_TAIL = re.compile(r"[-+.eE0-9]*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +111,8 @@ class Scene:
     """One synthetic image: ground truths, candidate boxes, features.
 
     source[k] is the index of the ground truth candidate k was jittered
-    from, -1 for background candidates. assignment is precomputed with the
+    from, -1 for background candidates; the constructor checks that it
+    lies in [-1, G - 1]. assignment is precomputed with the
     standard rule so that training and evaluation share identical labels.
     Every ground truth is covered by at least one candidate at the
     assignment threshold; the generator enforces this and the constructor
@@ -133,6 +138,8 @@ class Scene:
             raise InvalidInputError("scene needs at least one anchor")
         if feats.ndim != 2 or feats.shape[0] != a or asg.shape[0] != a or src.shape[0] != a:
             raise InvalidInputError("anchors, features, assignment and source lengths differ")
+        if np.any((src < -1) | (src >= gt.shape[0])):
+            raise InvalidInputError(f"source entries must lie in [-1, {gt.shape[0] - 1}]")
         if not np.all(np.isfinite(feats)):
             raise InvalidInputError("features must be finite")
         iou = pairwise_iou(anchors, gt)
@@ -238,13 +245,6 @@ def dataset_to_json_dict(config: DatasetConfig, train, eval_scenes) -> dict:
             "eval": [s.to_json_dict() for s in eval_scenes]}
 
 
-def dataset_from_json_dict(data: dict):
-    config = DatasetConfig.from_json_dict(data["config"])
-    train = tuple(Scene.from_json_dict(s) for s in data["train"])
-    eval_scenes = tuple(Scene.from_json_dict(s) for s in data["eval"])
-    return config, train, eval_scenes
-
-
 def save_dataset(path, config: DatasetConfig, train, eval_scenes):
     """Write the dataset file at path with write_dataset."""
     with open(path, "w") as fh:
@@ -275,21 +275,146 @@ def read_json(path):
         raise ConfigError(f"{path} is not a JSON file: {exc}") from exc
 
 
+class _JsonStream:
+    """The JSON text of a file, decoded one value at a time from chunks of
+    READ_CHARS characters: it holds one chunk and the value being decoded,
+    never the whole text. Raises ConfigError, naming the file, where the
+    text is not JSON."""
+
+    def __init__(self, fh, path):
+        self._fh, self._path = fh, path
+        self._buf = ""
+        self._pos = 0  # the next character of _buf to decode
+        self._offset = 0  # characters of the file before _buf
+        self._decode = json.JSONDecoder().raw_decode
+
+    def _more(self) -> bool:
+        """Drop the decoded text and append the next chunk; False at the end
+        of the file."""
+        chunk = self._fh.read(READ_CHARS)
+        if chunk:
+            self._offset += self._pos
+            self._buf = self._buf[self._pos:] + chunk
+            self._pos = 0
+        return bool(chunk)
+
+    def error(self, message: str, pos=None) -> ConfigError:
+        at = self._offset + (self._pos if pos is None else pos)
+        return ConfigError(f"{self._path} is not a JSON file: {message} at character {at}")
+
+    def peek(self) -> str:
+        """The next character that is not whitespace, or "" at the end of the file."""
+        while True:
+            self._pos = _WHITESPACE.match(self._buf, self._pos).end()
+            if self._pos < len(self._buf) or not self._more():
+                return self._buf[self._pos:self._pos + 1]
+
+    def take(self, char: str):
+        if self.peek() != char:
+            raise self.error(f"Expecting {char!r}")
+        self._pos += 1
+
+    def value(self):
+        """The next JSON value, decoded whole."""
+        self.peek()
+        while True:
+            try:
+                value, end = self._decode(self._buf, self._pos)
+            except json.JSONDecodeError as exc:
+                # the value may go on in the next chunk
+                if self._more():
+                    continue
+                raise self.error(exc.msg, exc.pos) from None
+            # a number that only number characters follow may go on in the
+            # next chunk too: a chunk that ends in "1" may go on with "e5"
+            if not (isinstance(value, (int, float)) and _NUMBER_TAIL.fullmatch(self._buf, end)
+                    and self._more()):
+                self._pos = end
+                return value
+
+    def items(self, opening: str, closing: str):
+        """Walks the JSON object ("{", "}") or array ("[", "]") that comes
+        next: yields the key of each member, or None before each element,
+        and the caller reads the member's value or the element with value()
+        before it asks for the next."""
+        self.take(opening)
+        if self.peek() == closing:
+            self._pos += 1
+            return
+        while True:
+            if opening == "{":
+                if self.peek() != '"':
+                    raise self.error("Expecting property name enclosed in double quotes")
+                key = self.value()
+                self.take(":")
+                yield key
+            else:
+                yield None
+            if self.peek() != ",":
+                break
+            self._pos += 1
+        self.take(closing)
+
+
+def _scene_from(data, path, split: str, k: int) -> Scene:
+    """Scene.from_json_dict, with any error of the scene's data a ConfigError
+    that names the file, the split and the scene's index."""
+    try:
+        return Scene.from_json_dict(data)
+    except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
+        reason = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{path}: {split} scene {k}: {reason}") from exc
+
+
 def load_dataset(path):
     """(config, train, eval) from a dataset file.
 
-    Raises ConfigError for a file that is not JSON, lacks a key, holds a
-    non-numeric or ragged array, holds scenes of different feature widths,
-    or whose config's F, A or scenes does not describe its scenes.
+    Decodes the file a chunk of READ_CHARS characters at a time, and each
+    train and eval scene into a Scene before the next one, so it holds one
+    chunk and one scene's JSON besides the scenes read so far. Any JSON
+    layout loads: whitespace, key order and extra top-level keys do not
+    matter, and of a repeated key the last one counts, as with json.load.
+
+    Raises ConfigError, naming the file, for a file that is not JSON, lacks
+    a key or holds an empty split; naming the split and the scene's index
+    too, for a scene that is not a valid Scene (a non-numeric or ragged
+    array, a missing key, a failed check); and for scenes of different
+    feature widths, or whose config's F, A or scenes does not describe them.
     """
-    data = read_json(path)
+    parts = {}
     try:
-        config, train, eval_scenes = dataset_from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} is not a dataset file: {exc!r}") from exc
+        with open(path) as fh:
+            stream = _JsonStream(fh, path)
+            if stream.peek() != "{":
+                raise ConfigError(f"{path} is not a dataset file: it holds no JSON object")
+            for key in stream.items("{", "}"):
+                if key in ("train", "eval") and stream.peek() == "[":
+                    parts[key] = tuple(_scene_from(stream.value(), path, key, k)
+                                       for k, _ in enumerate(stream.items("[", "]")))
+                else:
+                    parts[key] = stream.value()
+            if stream.peek():
+                raise stream.error("Extra data")
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not a JSON file: {exc}") from exc
+    for key in ("config", "train", "eval"):
+        if key not in parts:
+            raise ConfigError(f"{path} is not a dataset file: it has no {key!r} key")
+    for split in ("train", "eval"):
+        # a JSON list read as a split is a tuple of Scenes; any other value is not
+        if not isinstance(parts[split], tuple):
+            raise ConfigError(f"{path}: {split} must be a list of scenes")
+        if not parts[split]:
+            # a search would train a whole round before reward found no eval scene
+            raise ConfigError(f"{path}: the {split} split holds no scenes")
+    try:
+        config = DatasetConfig.from_json_dict(parts["config"])
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"{path}: config: {exc}") from exc
+    train, eval_scenes = parts["train"], parts["eval"]
     scenes = train + eval_scenes
     # the model trained on the train scenes runs on the eval scenes too
-    n_anchor, _ = _scene_sizes(scenes, ConfigError)
+    n_anchor, _ = _scene_sizes(scenes, lambda message: ConfigError(f"{path}: {message}"))
     # a run records this config as the data it trained and scored on
     stated = config.to_json_dict()
     held = {"F": {s.features.shape[1] for s in scenes}, "A": set(n_anchor.tolist()),

@@ -543,13 +543,50 @@ class TestInputErrors:
         lambda d: d["train"][0].__setitem__("gt_boxes", [[0.1, 0.1, 0.5, 0.5], [0.2]]),
         lambda d: d.__setitem__("eval", 3),
         lambda d: d["train"][0].update(anchors=[], features=[], assignment=[], source=[]),
+        lambda d: d["train"][0].__setitem__("source", [99] * 8),
     ], ids=["no-train", "no-anchors", "non-numeric", "ragged", "not-a-list",
-            "zero-anchors"])
+            "zero-anchors", "source-out-of-range"])
     def test_malformed_dataset_exits_config(self, tmp_path, dataset_dir, edit):
         config = self._broken_dataset(tmp_path, dataset_dir, edit)
         for command in (["search"], ["train-eval", "--substitution", "linear"]):
             assert main([*command, "--config", str(config),
                          "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    def test_invalid_scene_error_names_file_split_and_scene(self, tmp_path, dataset_dir,
+                                                            capsys):
+        def flip_first_label(d):
+            scene = d["train"][1]
+            scene["assignment"][0] = -1 if scene["assignment"][0] >= 0 else 0
+
+        config = self._broken_dataset(tmp_path, dataset_dir, flip_first_label)
+        assert main(["search", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'broken_dataset.json'}: train scene 1: "
+            "stored assignment disagrees with the assignment rule\n")
+
+    @pytest.mark.parametrize("split", ["train", "eval"])
+    def test_empty_split_exits_before_any_work(self, tmp_path, dataset_dir, monkeypatch,
+                                               capsys, split):
+        def never(*args, **kwargs):
+            raise AssertionError("work started on a dataset with an empty split")
+
+        for name in ("run_search", "random_search", "train_inner"):
+            monkeypatch.setattr(paramloss.cli, name, never)
+
+        def empty_split(d):
+            # every scene in the other split, so that the config's count holds
+            other = "eval" if split == "train" else "train"
+            d[other] = d["train"] + d["eval"]
+            d[split] = []
+
+        config = self._broken_dataset(tmp_path, dataset_dir, empty_split)
+        for command in (["search"], ["search", "--strategy", "random"],
+                        ["train-eval", "--substitution", "linear"]):
+            assert main([*command, "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+            assert (f"{tmp_path / 'broken_dataset.json'}: the {split} split holds no scenes"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("theta1", [[["a", 0.5]] * 4, [[0.5, 0.5], [0.5]] * 2],
                              ids=["non-numeric", "ragged"])

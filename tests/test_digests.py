@@ -16,6 +16,7 @@ from paramloss.toybench import (
     DatasetConfig,
     _scene_threshold_ap,
     generate,
+    load_dataset,
     reward,
     save_dataset,
     train_inner,
@@ -36,11 +37,15 @@ def test_train_eval_metrics_digest(tmp_path):
 
 def test_dataset_file_digest(tmp_path):
     # gates the generator and the dataset writer together: one changed
-    # scene value or one changed byte of the format fails here
+    # scene value or one changed byte of the format fails here. The file
+    # read back and written again gates the reader's fidelity too
     config = DatasetConfig(seed=1)
     path = tmp_path / "dataset.json"
     save_dataset(path, config, *generate(config))
     assert _digest(path.read_bytes()) == "82e209859ff3020f"
+    again = tmp_path / "again.json"
+    save_dataset(again, *load_dataset(path))
+    assert _digest(again.read_bytes()) == "82e209859ff3020f"
 
 
 def test_wide_training_digests():

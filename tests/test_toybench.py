@@ -1,6 +1,7 @@
 """Benchmark generator, toy detector and inner training loop."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from paramloss.toybench import (
     _reward_from,
     _scene_threshold_ap,
     _weight_grads,
-    dataset_from_json_dict,
     dataset_to_json_dict,
     generate,
     load_dataset,
@@ -49,6 +49,43 @@ from paramloss.toybench import (
 from loss_helpers import dataset_loss
 
 SMALL = DatasetConfig(scenes=30, g_max=2, anchors=10, features=6, noise=0.05, seed=3)
+
+
+def _whole_tree_load(path):
+    """The dataset reader load_dataset replaced, kept as its oracle: the
+    whole file's text and JSON tree at once, then every scene converted."""
+    with open(path) as fh:
+        data = json.load(fh)
+    return (DatasetConfig.from_json_dict(data["config"]),
+            tuple(Scene.from_json_dict(s) for s in data["train"]),
+            tuple(Scene.from_json_dict(s) for s in data["eval"]))
+
+
+def _assert_same_dataset(got, want):
+    """Equal configs, and scenes whose arrays are equal bit for bit."""
+    assert got[0].to_json_dict() == want[0].to_json_dict()
+    assert [len(got[1]), len(got[2])] == [len(want[1]), len(want[2])]
+    for a, b in zip(got[1] + got[2], want[1] + want[2]):
+        for name in ("gt_boxes", "anchors", "features", "assignment", "source"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+# the same dataset laid out in several valid JSON texts
+DATASET_LAYOUTS = {
+    "generated": lambda data: json.dumps(data),
+    # as generate wrote dataset.json before it used write_dataset
+    "indented": lambda data: json.dumps(data, indent=2, sort_keys=True) + "\n",
+    "reordered": lambda data: json.dumps(
+        {key: [dict(reversed(s.items())) for s in data[key]] if key != "config" else data[key]
+         for key in ("eval", "config", "train")}, separators=(",", ":")),
+    "extra-keys": lambda data: json.dumps(
+        {"version": 12345, "scale": -1.25e+3, **data, "note": {"by": [1.5e-3, -7, True, None, "x\"y"]}}),
+    # a decoder keeps the last of a repeated key: a first config of 1 scene
+    # and an empty first train list would each fail the load
+    "duplicate-keys": lambda data: (
+        '{"config": {"scenes": 1}, "train": [], ' + json.dumps(data)[1:]),
+}
 
 
 def _mixed_width_sets():
@@ -185,6 +222,14 @@ class TestSceneValidation:
         with pytest.raises(InvalidInputError, match="at least one anchor"):
             Scene(s.gt_boxes, np.zeros((0, 4)), np.zeros((0, 6)), [], [])
 
+    @pytest.mark.parametrize("entry", [-2, "G"], ids=["below-minus-one", "G"])
+    def test_source_out_of_range_rejected(self, entry):
+        s = self._valid_scene()
+        source = s.source.copy()
+        source[0] = s.gt_boxes.shape[0] if entry == "G" else entry
+        with pytest.raises(InvalidInputError, match="source entries"):
+            Scene(s.gt_boxes, s.anchors, s.features, s.assignment, source)
+
     def test_length_mismatch_rejected(self):
         s = self._valid_scene()
         with pytest.raises(InvalidInputError):
@@ -253,12 +298,56 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match=f"config {key} = "):
             load_dataset(path)
 
-    def test_dict_round_trip(self):
-        train, eval_scenes = generate(SMALL)
-        data = dataset_to_json_dict(SMALL, train, eval_scenes)
-        config, train2, eval2 = dataset_from_json_dict(data)
-        assert config.seed == SMALL.seed
-        assert np.array_equal(train2[0].anchors, train[0].anchors)
+    @pytest.mark.parametrize("layout", DATASET_LAYOUTS)
+    def test_reader_matches_whole_tree_decode(self, tmp_path, layout):
+        # SMALL's file is 2 chunks long
+        path = tmp_path / "data.json"
+        path.write_text(DATASET_LAYOUTS[layout](dataset_to_json_dict(SMALL, *generate(SMALL))))
+        _assert_same_dataset(load_dataset(path), _whole_tree_load(path))
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("layout", DATASET_LAYOUTS)
+    def test_any_chunk_boundary_reads_the_same(self, tmp_path, monkeypatch, layout, chars):
+        # chunks this short end inside every kind of token, the top-level
+        # numbers of "extra-keys" among them
+        config = DatasetConfig(scenes=5, g_max=2, anchors=4, features=5, seed=11)
+        path = tmp_path / "data.json"
+        path.write_text(DATASET_LAYOUTS[layout](dataset_to_json_dict(config, *generate(config))))
+        monkeypatch.setattr(paramloss.toybench, "READ_CHARS", chars)
+        _assert_same_dataset(load_dataset(path), _whole_tree_load(path))
+
+    @pytest.mark.parametrize("share", [0.0, 0.001, 0.01, 0.3, 0.5, 0.99, 0.9999])
+    def test_truncated_file_rejected(self, tmp_path, share):
+        path = tmp_path / "data.json"
+        save_dataset(path, SMALL, *generate(SMALL))
+        text = path.read_text()
+        path.write_text(text[:int(share * len(text))])
+        with pytest.raises(ConfigError, match=f"^{path} is not a"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("tail", [" {}", "]", "\n0", "x"])
+    def test_trailing_data_rejected(self, tmp_path, tail):
+        path = tmp_path / "data.json"
+        save_dataset(path, SMALL, *generate(SMALL))
+        with path.open("a") as fh:
+            fh.write(tail)
+        with pytest.raises(ConfigError, match=f"^{path} is not a JSON file: Extra data"):
+            load_dataset(path)
+
+    def test_reader_peak_below_file_size(self, tmp_path):
+        # a desk-shape file of 400 scenes: reading one chunk and one scene at
+        # a time peaks at about 0.7 times the file's size, most of it the
+        # returned arrays; the whole text and JSON tree at once took 2.9 times
+        config = DatasetConfig(scenes=400, g_max=3, anchors=16, features=16, seed=1)
+        path = tmp_path / "desk.json"
+        save_dataset(path, config, *generate(config))
+        tracemalloc.start()
+        try:
+            load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 class TestToyModel:
