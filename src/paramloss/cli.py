@@ -27,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .apmetric import COCO_THRESHOLDS
-from .errors import ConfigError, ParamLossError, TrainingDivergedError, check_value_type
+from .errors import (
+    ConfigError,
+    ConstraintViolationError,
+    InvalidInputError,
+    TrainingDivergedError,
+    check_value_type,
+)
 from .paploss import HANDCRAFTED_KINDS, LossParams, handcrafted_substitution
 from .search import (
     PRESETS,
@@ -61,12 +67,13 @@ def _load_json(path):
 
 
 def _load_params(path):
-    """LossParams from a params file; ConfigError for a non-numeric or
-    ragged theta (a missing key or collapsing knots raise as LossParams does)."""
+    """LossParams from a params file; ConfigError, naming the file, for a
+    file LossParams rejects (a missing key, a non-numeric or ragged theta, a
+    mistyped value, collapsing knots)."""
     data = _load_json(path)
     try:
         return LossParams.from_json_dict(data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidInputError, ConstraintViolationError) as exc:
         raise ConfigError(f"{path} is not a loss parameter file: {exc!r}") from exc
 
 
@@ -211,10 +218,14 @@ def cmd_train_eval(args) -> int:
         "steps": config.steps,
         "seed": config.seed,
     }
+    # the loss keys as trained: a params file or --no-block-denominator
+    # overrides the config's
+    trained = {"M": params.M, "measurement": params.measurement,
+               "block_denominator": params.block_denominator}
     out = _out_dir(args)
     _write_json(out / "metrics.json", metrics)
     _write_json(out / "resolved_config.json",
-                {"train_eval": config.to_json_dict(), "source": source,
+                {"train_eval": {**config.to_json_dict(), **trained}, "source": source,
                  "shared_params": args.shared_params,
                  "lambda_fixed": args.lambda_fixed,
                  "no_block_denominator": args.no_block_denominator,
@@ -336,7 +347,9 @@ def main(argv=None) -> int:
         if not nearest.is_dir():
             raise ConfigError(f"--out {args.out}: {nearest} is not a directory")
         return args.fn(args)
-    except (ParamLossError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
+        # any other error is a bug in the program, not in its input: it
+        # propagates and exits 1 with its traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

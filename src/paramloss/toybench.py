@@ -239,12 +239,6 @@ def generate(config: DatasetConfig):
     return tuple(scenes[:-n_eval]), tuple(scenes[-n_eval:])
 
 
-def dataset_to_json_dict(config: DatasetConfig, train, eval_scenes) -> dict:
-    return {"config": config.to_json_dict(),
-            "train": [s.to_json_dict() for s in train],
-            "eval": [s.to_json_dict() for s in eval_scenes]}
-
-
 def save_dataset(path, config: DatasetConfig, train, eval_scenes):
     """Write the dataset file at path with write_dataset."""
     with open(path, "w") as fh:
@@ -252,10 +246,12 @@ def save_dataset(path, config: DatasetConfig, train, eval_scenes):
 
 
 def write_dataset(fh, config: DatasetConfig, train, eval_scenes):
-    """Write json.dumps(dataset_to_json_dict(config, train, eval_scenes))
-    to the text file fh, one scene at a time: the bytes are the same, but
-    only one scene's text is held at once, and each piece goes through
-    json's C encoder, which json.dump does not use."""
+    """Write the dataset to the text file fh as compact JSON: one object
+    whose "config" holds config.to_json_dict() and whose "train" and "eval"
+    hold the lists of each scene's to_json_dict(), in that key order, with
+    json.dumps' default separators and no trailing newline. It writes one
+    scene at a time, so only one scene's text is held at once, and each
+    piece goes through json's C encoder, which json.dump does not use."""
     fh.write(f'{{"config": {json.dumps(config.to_json_dict())}')
     for key, scenes in (("train", train), ("eval", eval_scenes)):
         fh.write(f', "{key}": [')

@@ -13,9 +13,17 @@ import paramloss.cli
 import paramloss.search
 import paramloss.toybench
 from paramloss.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from paramloss.errors import ConstraintViolationError, TrainingDivergedError
+from paramloss.errors import (
+    ConstraintViolationError,
+    DomainError,
+    EmptyPositiveError,
+    InvalidInputError,
+    TrainingDivergedError,
+)
 from paramloss.paploss import LossParams, lambda_from_theta
 from paramloss.piecewise import PiecewiseFn, build
+
+from dataset_helpers import dataset_to_json_dict
 
 TINY_DATASET = {"scenes": 12, "G_max": 2, "A": 8, "F": 6, "noise": 0.05, "seed": 21}
 TINY_SEARCH = {"T": 2, "S": 2, "steps": 3, "seed": 5}
@@ -332,6 +340,24 @@ class TestTrainEvalCommand:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["params"]["block_denominator"] is False
 
+    @pytest.mark.parametrize("loss, flags", [
+        ({"M": 3, "measurement": "iou"}, []),
+        ({}, ["--no-block-denominator"]),
+    ], ids=["params-file", "no-block-denominator"])
+    def test_resolved_config_records_the_trained_loss(self, tmp_path, dataset_dir, loss, flags):
+        # the params file and --no-block-denominator override the config's
+        # loss keys, so the snapshot records the loss as trained
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(LossParams.identity(**loss).to_json_dict()))
+        config = _search_config_file(tmp_path, dataset_dir)
+        out = tmp_path / "te"
+        assert main(["train-eval", str(params_path), *flags, "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        trained = json.loads((out / "metrics.json").read_text())["params"]
+        recorded = json.loads((out / "resolved_config.json").read_text())["train_eval"]
+        keys = ("M", "measurement", "block_denominator")
+        assert {k: recorded[k] for k in keys} == {k: trained[k] for k in keys}
+
     def test_flags_override_file_before_validation(self, tmp_path, dataset_dir):
         # the merged config is validated once, after --seed replaces the
         # file's invalid value
@@ -351,7 +377,7 @@ class TestTrainEvalCommand:
             train, eval_scenes = paramloss.toybench.generate(
                 paramloss.toybench.DatasetConfig(scenes=20, features=width))
             scenes += train + eval_scenes
-        data = paramloss.toybench.dataset_to_json_dict(config, scenes[:32], scenes[32:])
+        data = dataset_to_json_dict(config, scenes[:32], scenes[32:])
         dataset = tmp_path / "mixed.json"
         dataset.write_text(json.dumps(data))
         search_config = tmp_path / "search_config.json"
@@ -365,7 +391,7 @@ class TestTrainEvalCommand:
         config = paramloss.toybench.DatasetConfig(features=6)
         train, eval_scenes = paramloss.toybench.generate(
             paramloss.toybench.DatasetConfig(scenes=20))
-        data = paramloss.toybench.dataset_to_json_dict(config, train, eval_scenes)
+        data = dataset_to_json_dict(config, train, eval_scenes)
         dataset = tmp_path / "other.json"
         dataset.write_text(json.dumps(data))
         search_config = tmp_path / "search_config.json"
@@ -688,9 +714,11 @@ class TestInputErrors:
         assert main([*command, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    @pytest.mark.parametrize("error", [ValueError, KeyError, DomainError, EmptyPositiveError,
+                                       InvalidInputError])
     def test_internal_error_is_not_a_config_error(self, tmp_path, dataset_dir, monkeypatch,
                                                   error):
+        # the package's own errors too: only a ConfigError is the input's fault
         def broken(*args, **kwargs):
             raise error("internal")
 

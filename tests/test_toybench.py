@@ -37,7 +37,6 @@ from paramloss.toybench import (
     _reward_from,
     _scene_threshold_ap,
     _weight_grads,
-    dataset_to_json_dict,
     generate,
     load_dataset,
     model_forward,
@@ -46,6 +45,7 @@ from paramloss.toybench import (
     train_inner,
 )
 
+from dataset_helpers import dataset_to_json_dict
 from loss_helpers import dataset_loss
 
 SMALL = DatasetConfig(scenes=30, g_max=2, anchors=10, features=6, noise=0.05, seed=3)
